@@ -11,11 +11,9 @@ from .graphs import (
     BipartiteExpander,
     Graph,
     GraphError,
-    Hypergraph,
     bfs_diameter,
     bipartition,
     build_graph,
-    connected_components,
     is_connected,
     is_k_regular,
     make_bipartite_expander,
@@ -41,7 +39,6 @@ from .spectral import (
     chung_diameter_bound,
     dodziuk_bounds,
     expander_constant_lower_bound,
-    is_ramanujan,
     jacobi_eigenvalues,
     nontrivial_lambda,
 )
@@ -56,7 +53,6 @@ __all__ = [
     "GeneratorConfig",
     "Graph",
     "GraphError",
-    "Hypergraph",
     "LayerKind",
     "MAX_ORACLE_N",
     "NotRegularError",
@@ -73,14 +69,12 @@ __all__ = [
     "bipartition",
     "build_graph",
     "chung_diameter_bound",
-    "connected_components",
     "derive_seed",
     "dodziuk_bounds",
     "edge_expansion",
     "expander_constant_lower_bound",
     "is_connected",
     "is_k_regular",
-    "is_ramanujan",
     "jacobi_eigenvalues",
     "k_regular_bipartite",
     "layer_schedule",

@@ -1,4 +1,4 @@
-"""Command-line surface: generate, analyze, verify, rewire, train, bench.
+"""Command-line surface: generate, analyze, verify, rewire, train.
 
 Every output file embeds the effective flag set under "config" plus the
 tool version, so any artifact can be regenerated from its own header.
@@ -6,9 +6,7 @@ Exit codes: 0 success, 1 usage or input error, 2 retry budget exhausted,
 3 numerical failure.
 
 JSON payloads use fixed key order and 17-significant-digit floats for
-golden-file stability. Timing values from `bench` are wall-clock
-measurements and, like timestamps, are outside the byte-identical
-reproducibility contract.
+golden-file stability.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__
@@ -24,11 +21,9 @@ from .construct import GeneratorConfig, RetryBudgetExhausted, k_regular_bipartit
 from .graphs import GraphError
 from .oracle import OracleDomainError, verify_bounds
 from .rewire import augment
-from .rng import derive_seed
 from .serialize import bipartite_to_dict, dumps_canonical, edgelist_dumps, load_graph_file
 from .spectral import EigensolverError, NotRegularError, analyze
 from .gnn import HyperedgeMode, TrainConfig, TrainingDiverged, train
-from .spectral import adjacency_eigenvalues
 
 TOOL_VERSION = __version__
 
@@ -229,36 +224,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip() != ""]
-    if not sizes or any(s < args.k for s in sizes):
-        raise ValueError(f"--sizes must be >= k={args.k}, got {args.sizes!r}")
-    config = {
-        "subcommand": "bench",
-        "sizes": sizes,
-        "k": args.k,
-        "seed": args.seed,
-        "repeats": args.repeats,
-    }
-    rows = []
-    print(f"{'n':>6} {'generate_s':>12} {'eigensolve_s':>13}", file=sys.stderr)
-    for n in sizes:
-        cfg = GeneratorConfig(n=n, k=args.k, seed=derive_seed(args.seed, n))
-        t0 = time.perf_counter()
-        for _ in range(args.repeats):
-            expander = k_regular_bipartite(cfg)
-        t_gen = (time.perf_counter() - t0) / args.repeats
-        g = expander.to_graph()
-        t0 = time.perf_counter()
-        for _ in range(args.repeats):
-            adjacency_eigenvalues(g)
-        t_eig = (time.perf_counter() - t0) / args.repeats
-        rows.append({"n": n, "generate_seconds": t_gen, "eigensolve_seconds": t_eig})
-        print(f"{n:>6} {t_gen:>12.6f} {t_eig:>13.6f}", file=sys.stderr)
-    _emit(_envelope(config, {"rows": rows}), args.out)
-    return EXIT_OK
-
-
 def build_parser() -> _CliParser:
     parser = _CliParser(prog="hyperexpand", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hyperexpand {TOOL_VERSION}")
@@ -317,14 +282,6 @@ def build_parser() -> _CliParser:
     p.add_argument("--csv", default=None, help="metrics CSV path; '{seed}' is substituted")
     p.add_argument("--out", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("bench", help="time generation and eigensolve across sizes")
-    p.add_argument("--sizes", default="8,16,32,64")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

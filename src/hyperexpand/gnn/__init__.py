@@ -10,7 +10,6 @@ from .layers import (
     init_affine,
     init_expander_params,
     init_gin_params,
-    masked_mean_pool,
 )
 from .model import (
     GinModel,
@@ -45,7 +44,6 @@ __all__ = [
     "load_parameters",
     "loss_and_gradients",
     "make_dataset",
-    "masked_mean_pool",
     "named_parameters",
     "parameters_to_dict",
     "train",

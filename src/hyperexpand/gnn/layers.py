@@ -106,15 +106,9 @@ def init_expander_params(
 
 # ---------------------------------------------------------------------------
 # batched kernels
-
-
-def _matmul_adj(adj: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # (n, n) @ (B, n, d) broadcasts; (B, n, n) @ (B, n, d) is batched.
-    return adj @ h
-
-
-def _adj_t(adj: np.ndarray) -> np.ndarray:
-    return np.swapaxes(adj, -1, -2)
+#
+# np.swapaxes(adj, -1, -2), not adj.T, transposes both (n, n) and
+# (B, n, n) adjacencies.
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -122,19 +116,18 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.tensordot(x, dy, axes=([0, 1], [0, 1]))
 
 
-def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams):
-    """Returns (out, cache) for h of shape (B, n, d_in)."""
-    agg = _matmul_adj(adj, h)
-    z = (1.0 + p.epsilon) * h + agg
+def _gin_mlp_forward(h_self: np.ndarray, agg: np.ndarray, p: GinLayerParams):
+    """The GIN update MLP((1 + eps) h_self + agg); returns (out, cache)."""
+    z = (1.0 + p.epsilon) * h_self + agg
     a1 = z @ p.w1 + p.b1
     r = np.maximum(a1, 0.0)
     out = r @ p.w2 + p.b2
-    return out, (h, adj, z, a1, r)
+    return out, (h_self, z, a1, r)
 
 
-def gin_backward(dout: np.ndarray, cache, p: GinLayerParams, grads: dict, prefix: str):
-    """Accumulates parameter grads under prefix; returns d h."""
-    h, adj, z, a1, r = cache
+def _gin_mlp_backward(dout: np.ndarray, cache, p: GinLayerParams, grads: dict, prefix: str):
+    """Accumulates parameter grads under prefix; returns (d h_self, d agg)."""
+    h_self, z, a1, r = cache
     grads[prefix + "w2"] += _weight_grad(r, dout)
     grads[prefix + "b2"] += dout.sum(axis=(0, 1))
     dr = dout @ p.w2.T
@@ -142,8 +135,21 @@ def gin_backward(dout: np.ndarray, cache, p: GinLayerParams, grads: dict, prefix
     grads[prefix + "w1"] += _weight_grad(z, da1)
     grads[prefix + "b1"] += da1.sum(axis=(0, 1))
     dz = da1 @ p.w1.T
-    grads[prefix + "epsilon"] += (dz * h).sum()
-    return (1.0 + p.epsilon) * dz + _matmul_adj(_adj_t(adj), dz)
+    grads[prefix + "epsilon"] += (dz * h_self).sum()
+    return (1.0 + p.epsilon) * dz, dz
+
+
+def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams):
+    """Returns (out, cache) for h of shape (B, n, d_in); cache[0] is h."""
+    out, cache = _gin_mlp_forward(h, adj @ h, p)
+    return out, (*cache, adj)
+
+
+def gin_backward(dout: np.ndarray, cache, p: GinLayerParams, grads: dict, prefix: str):
+    """Accumulates parameter grads under prefix; returns d h."""
+    *mlp_cache, adj = cache
+    d_self, d_agg = _gin_mlp_backward(dout, mlp_cache, p, grads, prefix)
+    return d_self + np.swapaxes(adj, -1, -2) @ d_agg
 
 
 def expander_forward(h: np.ndarray, biadj: np.ndarray, p: ExpanderLayerParams):
@@ -156,62 +162,35 @@ def expander_forward(h: np.ndarray, biadj: np.ndarray, p: ExpanderLayerParams):
     n = biadj.shape[-1]
     h_left, h_right = h[..., :n, :], h[..., n:, :]
     if p.mode is HyperedgeMode.LEARNED:
-        h_right_new, c1 = gin_forward_bipartite(h_right, h_left, biadj, p.forward_gin)
+        h_right_new, c1 = _gin_mlp_forward(h_right, biadj @ h_left, p.forward_gin)
     else:
-        s = _matmul_adj(biadj, h_left)
         lin = p.summation_linear
-        h_right_new = s @ lin.w + lin.b
-        c1 = (s,)
-    h_left_new, c2 = gin_forward_bipartite(h_left, h_right_new, _adj_t(biadj), p.backward_gin)
+        c1 = biadj @ h_left
+        h_right_new = c1 @ lin.w + lin.b
+    h_left_new, c2 = _gin_mlp_forward(
+        h_left, np.swapaxes(biadj, -1, -2) @ h_right_new, p.backward_gin
+    )
     out = np.concatenate([h_left_new, h_right_new], axis=-2)
     return out, (n, biadj, c1, c2)
-
-
-def gin_forward_bipartite(h_self: np.ndarray, h_other: np.ndarray, adj, p: GinLayerParams):
-    """GIN step where the neighborhood lives on the other side: adj maps
-    other-side features onto self-side rows."""
-    agg = _matmul_adj(adj, h_other)
-    z = (1.0 + p.epsilon) * h_self + agg
-    a1 = z @ p.w1 + p.b1
-    r = np.maximum(a1, 0.0)
-    out = r @ p.w2 + p.b2
-    return out, (h_self, z, a1, r)
-
-
-def gin_backward_bipartite(dout, cache, adj, p: GinLayerParams, grads: dict, prefix: str):
-    """Returns (d h_self, d h_other)."""
-    h_self, z, a1, r = cache
-    grads[prefix + "w2"] += _weight_grad(r, dout)
-    grads[prefix + "b2"] += dout.sum(axis=(0, 1))
-    dr = dout @ p.w2.T
-    da1 = np.where(a1 > 0.0, dr, 0.0)
-    grads[prefix + "w1"] += _weight_grad(z, da1)
-    grads[prefix + "b1"] += da1.sum(axis=(0, 1))
-    dz = da1 @ p.w1.T
-    grads[prefix + "epsilon"] += (dz * h_self).sum()
-    return (1.0 + p.epsilon) * dz, _matmul_adj(_adj_t(adj), dz)
 
 
 def expander_backward(dout: np.ndarray, cache, p: ExpanderLayerParams, grads: dict, prefix: str):
     n, biadj, c1, c2 = cache
     d_left_out, d_right_out = dout[..., :n, :], dout[..., n:, :]
-    d_left_a, d_right_from2 = gin_backward_bipartite(
-        d_left_out, c2, _adj_t(biadj), p.backward_gin, grads, prefix + "backward."
-    )
-    d_right = d_right_out + d_right_from2
+    d_left, d_agg = _gin_mlp_backward(d_left_out, c2, p.backward_gin, grads, prefix + "backward.")
+    d_right = d_right_out + biadj @ d_agg
+    # d_agg and d_left are rebound rather than kept alongside, so no
+    # (B, n, d) gradient outlives its use; this sets peak training memory.
     if p.mode is HyperedgeMode.LEARNED:
-        d_right_self, d_left_b = gin_backward_bipartite(
-            d_right, c1, biadj, p.forward_gin, grads, prefix + "forward."
-        )
+        d_right_self, d_agg = _gin_mlp_backward(d_right, c1, p.forward_gin, grads, prefix + "forward.")
     else:
-        (s,) = c1
         lin = p.summation_linear
-        grads[prefix + "summation.w"] += _weight_grad(s, d_right)
+        grads[prefix + "summation.w"] += _weight_grad(c1, d_right)
         grads[prefix + "summation.b"] += d_right.sum(axis=(0, 1))
-        ds = d_right @ lin.w.T
-        d_left_b = _matmul_adj(_adj_t(biadj), ds)
+        d_agg = d_right @ lin.w.T
         d_right_self = np.zeros_like(d_right)
-    return np.concatenate([d_left_a + d_left_b, d_right_self], axis=-2)
+    d_left = d_left + np.swapaxes(biadj, -1, -2) @ d_agg
+    return np.concatenate([d_left, d_right_self], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +220,3 @@ def expander_layer_forward(h: np.ndarray, b: BipartiteExpander, p: ExpanderLayer
         )
     out, _ = expander_forward(h[None], b.biadjacency().astype(np.float64), p)
     return out[0]
-
-
-def masked_mean_pool(h: np.ndarray, mask) -> np.ndarray:
-    """Mean over rows where mask is False (hyperedge rows are masked True)."""
-    h = np.asarray(h, dtype=np.float64)
-    keep = ~np.asarray(mask, dtype=bool)
-    if h.shape[0] != keep.shape[0]:
-        raise ValueError("mask length must equal node count")
-    if not keep.any():
-        raise ValueError("all nodes masked; nothing to pool")
-    return h[keep].mean(axis=0)

@@ -1,9 +1,8 @@
-"""Model assembly: layer stack per schedule, readout head, loss, gradients.
+"""Model assembly: layer stack per schedule, classifier head, loss, gradients.
 
 The model is a list of layer parameter blocks matched one-to-one with a
-layer-kind schedule, plus an affine classifier head. Readout is either
-the root node's representation (Tree-NeighborsMatch is a node-level task)
-or the hyperedge-masked mean over original nodes.
+layer-kind schedule, plus an affine classifier head that reads the root
+node's representation (Tree-NeighborsMatch is a node-level task).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from ..rewire import LayerKind, RewiredInstance
 from ..rng import SplitMix64, derive_seed
 from .layers import (
     Affine,
-    ExpanderLayerParams,
     GinLayerParams,
     HyperedgeMode,
     expander_backward,
@@ -32,7 +30,6 @@ from .layers import (
 PARAM_STREAM = 0x7061
 
 
-
 @dataclass
 class GinModel:
     schedule: tuple[LayerKind, ...]
@@ -41,7 +38,6 @@ class GinModel:
     in_dim: int
     hidden_dim: int
     num_classes: int
-    readout: str = "root"  # "root" | "mean"
 
 
 def build_model(
@@ -51,10 +47,7 @@ def build_model(
     schedule: tuple[LayerKind, ...],
     mode: HyperedgeMode = HyperedgeMode.SUMMATION,
     seed: int = 0,
-    readout: str = "root",
 ) -> GinModel:
-    if readout not in ("root", "mean"):
-        raise ValueError(f"unknown readout {readout!r}")
     if not schedule:
         raise ValueError("schedule must contain at least one layer")
     rng = SplitMix64(derive_seed(seed, PARAM_STREAM))
@@ -77,7 +70,6 @@ def build_model(
         in_dim=in_dim,
         hidden_dim=hidden_dim,
         num_classes=num_classes,
-        readout=readout,
     )
 
 
@@ -116,7 +108,6 @@ def forward_batch(
     feats: np.ndarray,
     adj_orig: np.ndarray,
     biadj: np.ndarray | None = None,
-    hyperedge_mask: np.ndarray | None = None,
 ):
     """feats (B, n, in_dim) -> (logits (B, C), caches for backward)."""
     h = feats
@@ -129,33 +120,19 @@ def forward_batch(
                 raise ValueError("schedule has EXPANDER layers but no expander was given")
             h, cache = expander_forward(h, biadj, layer)
         layer_caches.append(cache)
-    if model.readout == "root":
-        read = h[:, 0, :]
-        readout_cache = None
-    else:
-        keep = (
-            np.ones(h.shape[1], dtype=bool)
-            if hyperedge_mask is None
-            else ~np.asarray(hyperedge_mask, dtype=bool)
-        )
-        read = h[:, keep, :].mean(axis=1)
-        readout_cache = keep
+    read = h[:, 0, :]
     logits = read @ model.head.w + model.head.b
-    return logits, (layer_caches, read, readout_cache, h.shape)
+    return logits, (layer_caches, read, h.shape)
 
 
 def backward_batch(model: GinModel, dlogits: np.ndarray, caches) -> dict[str, np.ndarray]:
-    layer_caches, read, readout_cache, h_shape = caches
+    layer_caches, read, h_shape = caches
     grads = zero_gradients(model)
     grads["head.w"] += read.T @ dlogits
     grads["head.b"] += dlogits.sum(axis=0)
     dread = dlogits @ model.head.w.T
     dh = np.zeros(h_shape)
-    if model.readout == "root":
-        dh[:, 0, :] = dread
-    else:
-        keep = readout_cache
-        dh[:, keep, :] = dread[:, None, :] / keep.sum()
+    dh[:, 0, :] = dread
     for i in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[i]
         prefix = f"layers.{i}."
@@ -188,10 +165,9 @@ def loss_and_gradients(
     targets: np.ndarray,
     adj_orig: np.ndarray,
     biadj: np.ndarray | None = None,
-    hyperedge_mask: np.ndarray | None = None,
 ):
     """Mean cross-entropy loss, accuracy, and exact parameter gradients."""
-    logits, caches = forward_batch(model, feats, adj_orig, biadj, hyperedge_mask)
+    logits, caches = forward_batch(model, feats, adj_orig, biadj)
     loss, dlogits, _ = softmax_cross_entropy(logits, targets)
     accuracy = float((logits.argmax(axis=1) == targets).mean())
     grads = backward_batch(model, dlogits, caches)
@@ -211,8 +187,7 @@ def forward(model: GinModel, instance, features: np.ndarray) -> np.ndarray:
         feats[0, :n] = features
         adj = instance.original_view().adjacency_matrix()
         biadj = instance.expander.biadjacency().astype(np.float64)
-        mask = np.asarray(instance.hyperedge_mask, dtype=bool)
-        logits, _ = forward_batch(model, feats, adj, biadj, mask)
+        logits, _ = forward_batch(model, feats, adj, biadj)
         return logits[0]
     if isinstance(instance, Graph):
         if any(kind is LayerKind.EXPANDER for kind in model.schedule):

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..construct import GeneratorConfig
+from ..construct import GeneratorConfig, k_regular_bipartite
 from ..graphs import Graph
-from ..rewire import LayerKind, augment, layer_schedule
+from ..rewire import LayerKind, layer_schedule
 from ..rng import SplitMix64, derive_seed
 from .layers import HyperedgeMode
 from .model import GinModel, build_model, loss_and_gradients, named_parameters
@@ -74,7 +74,6 @@ class _Batch:
     targets: np.ndarray  # (B,)
     adj_orig: np.ndarray  # (nodes, nodes), shared
     biadj: np.ndarray | None  # (B, n, n) or None
-    mask: np.ndarray | None
 
 
 def _prepare_data(cfg: TrainConfig) -> tuple[_Batch, int, int]:
@@ -87,24 +86,20 @@ def _prepare_data(cfg: TrainConfig) -> tuple[_Batch, int, int]:
     raw = np.stack([inst.encode_features() for inst in instances])
     targets = np.array([inst.target_label for inst in instances], dtype=np.int64)
     if not cfg.rewire:
-        return _Batch(raw, targets, tree.adjacency_matrix(), None, None), in_dim, num_classes
+        return _Batch(raw, targets, tree.adjacency_matrix(), None), in_dim, num_classes
 
     # One expander per instance, seeded from the instance index.
     root = derive_seed(cfg.seed, EXPANDER_STREAM)
     k = min(cfg.expander_k, tree.n)
     biadj = np.zeros((cfg.dataset_size, tree.n, tree.n))
-    mask = None
     for i in range(cfg.dataset_size):
         gen = GeneratorConfig(n=tree.n, k=k, seed=derive_seed(root, i))
-        inst = augment(tree, gen, num_layers=cfg.num_layers)
-        biadj[i] = inst.expander.biadjacency()
-        if mask is None:
-            mask = np.asarray(inst.hyperedge_mask, dtype=bool)
+        biadj[i] = k_regular_bipartite(gen).biadjacency()
     feats = np.zeros((cfg.dataset_size, 2 * tree.n, in_dim))
     feats[:, : tree.n, :] = raw
     adj_aug = np.zeros((2 * tree.n, 2 * tree.n))
     adj_aug[: tree.n, : tree.n] = tree.adjacency_matrix()
-    return _Batch(feats, targets, adj_aug, biadj, mask), in_dim, num_classes
+    return _Batch(feats, targets, adj_aug, biadj), in_dim, num_classes
 
 
 def _slice(batch: _Batch, lo: int, hi: int) -> _Batch:
@@ -113,7 +108,6 @@ def _slice(batch: _Batch, lo: int, hi: int) -> _Batch:
         targets=batch.targets[lo:hi],
         adj_orig=batch.adj_orig,
         biadj=None if batch.biadj is None else batch.biadj[lo:hi],
-        mask=batch.mask,
     )
 
 
@@ -142,9 +136,7 @@ class _Optimizer:
 
 
 def _evaluate(model: GinModel, batch: _Batch) -> tuple[float, float]:
-    loss, acc, _ = loss_and_gradients(
-        model, batch.feats, batch.targets, batch.adj_orig, batch.biadj, batch.mask
-    )
+    loss, acc, _ = loss_and_gradients(model, batch.feats, batch.targets, batch.adj_orig, batch.biadj)
     return loss, acc
 
 
@@ -167,7 +159,6 @@ def train(cfg: TrainConfig) -> TrainResult:
         schedule,
         mode=cfg.hyperedge_mode,
         seed=cfg.seed,
-        readout="root",
     )
     opt = _Optimizer(cfg, model)
     size = data.feats.shape[0]
@@ -182,7 +173,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 part = _slice(data, lo, lo + step)
                 count = part.feats.shape[0]
                 loss, acc, grads = loss_and_gradients(
-                    model, part.feats, part.targets, part.adj_orig, part.biadj, part.mask
+                    model, part.feats, part.targets, part.adj_orig, part.biadj
                 )
                 epoch_loss += loss * count
                 epoch_hits += acc * count

@@ -1,4 +1,4 @@
-"""Core graph structures: simple graphs, bipartite matching unions, hypergraphs.
+"""Core graph structures: simple graphs and bipartite matching unions.
 
 All types are immutable after construction and safe to share between
 threads.  Adjacency lists are kept sorted ascending so that every
@@ -144,24 +144,6 @@ def is_connected(g: Graph) -> bool:
     return reached == g.n
 
 
-def connected_components(g: Graph) -> int:
-    seen = [False] * g.n
-    count = 0
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        count += 1
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-    return count
-
-
 @dataclass(frozen=True)
 class BipartiteExpander:
     """k-regular bipartite graph stored as k edge-disjoint perfect matchings.
@@ -182,14 +164,6 @@ class BipartiteExpander:
             for l in range(self.n_left)
         ]
         return build_graph(self.n_left + self.n_right, edges)
-
-    def right_neighbors(self) -> list[list[int]]:
-        """For each right vertex (local id), its sorted left neighbours."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n_right)]
-        for m in self.matchings:
-            for l, r in enumerate(m):
-                nbrs[r].append(l)
-        return [sorted(v) for v in nbrs]
 
     def biadjacency(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_right, n_left)."""
@@ -224,27 +198,6 @@ def make_bipartite_expander(
                         f"matchings {i} and {j} share edge ({l}, {ms[i][l]})"
                     )
     return BipartiteExpander(n_left=n_left, n_right=n_right, k=k, matchings=ms)
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertices plus edges over arbitrary vertex subsets."""
-
-    n: int
-    hyperedges: tuple[frozenset[int], ...]
-
-    def uniform_cardinality(self) -> int | None:
-        """Return k if every hyperedge has cardinality k, else None."""
-        if not self.hyperedges:
-            return None
-        k = len(self.hyperedges[0])
-        return k if all(len(e) == k for e in self.hyperedges) else None
-
-
-def hypergraph_from_bipartite(b: BipartiteExpander) -> Hypergraph:
-    """Read the right side as hyperedges over the left vertices (k-uniform)."""
-    edges = tuple(frozenset(nbrs) for nbrs in b.right_neighbors())
-    return Hypergraph(n=b.n_left, hyperedges=edges)
 
 
 # Named small families used throughout tests, demos, and bound verification.

@@ -14,9 +14,13 @@ from dataclasses import dataclass, replace
 
 from .construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
 from .graphs import BipartiteExpander, Graph, build_graph
-from .serialize import bipartite_to_dict, graph_to_dict
-
-REWIRED_FORMAT = "hyperexpand-rewired-v1"
+from .serialize import (
+    REWIRED_FORMAT,
+    bipartite_from_dict,
+    bipartite_to_dict,
+    graph_from_dict,
+    graph_to_dict,
+)
 
 
 class LayerKind(enum.Enum):
@@ -72,8 +76,6 @@ class RewiredInstance:
 
 
 def rewired_from_dict(data: dict) -> RewiredInstance:
-    from .serialize import bipartite_from_dict, graph_from_dict
-
     if data.get("format") != REWIRED_FORMAT:
         raise ValueError(f"expected format {REWIRED_FORMAT!r}, got {data.get('format')!r}")
     return RewiredInstance(

@@ -136,24 +136,6 @@ def alon_boppana_reference(k: int) -> float:
     return 2.0 * math.sqrt(k - 1.0)
 
 
-def is_ramanujan(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> bool | None:
-    """Whether lambda(G) <= 2*sqrt(k-1) (+ tolerance).
-
-    None when g is disconnected or has no nontrivial eigenvalue: the
-    defining spectral ordering presumes a connected regular graph.
-    """
-    k = is_k_regular(g)
-    if k is None:
-        raise NotRegularError("Ramanujan check requires a k-regular graph")
-    eigs = adjacency_eigenvalues(g, tolerance)
-    if _multiplicity_of_k(eigs, k, tolerance) != 1:
-        return None
-    lam = nontrivial_lambda(eigs, k, tolerance)
-    if lam is None:
-        return None
-    return lam <= alon_boppana_reference(k) + tolerance
-
-
 def chung_diameter_bound(n: int, k: int, lam: float, bipartite: bool) -> float:
     """Spectral diameter bound alpha + log(2n/alpha) / log((k + sqrt(k^2-l^2))/l).
 

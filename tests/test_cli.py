@@ -313,40 +313,6 @@ class TestTrain:
         assert "seeds" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_rows_and_stderr_table(self, tmp_path, capsys):
-        code, out = run_to_file(
-            ["bench", "--sizes", "4,6", "--k", "3", "--repeats", "1"], tmp_path, "b.json"
-        )
-        assert code == EXIT_OK
-        err = capsys.readouterr().err
-        assert "generate_s" in err
-        payload = json.loads(out.read_text())
-        rows = payload["result"]["rows"]
-        assert [r["n"] for r in rows] == [4, 6]
-        for row in rows:
-            assert row["generate_seconds"] >= 0.0
-            assert row["eigensolve_seconds"] >= 0.0
-
-    def test_reproducible_modulo_timings(self, tmp_path):
-        argv = ["bench", "--sizes", "4", "--k", "2", "--repeats", "1"]
-        _, a = run_to_file(argv, tmp_path, "a.json")
-        _, b = run_to_file(argv, tmp_path, "b.json")
-
-        def strip(path):
-            d = json.loads(path.read_text())
-            for row in d["result"]["rows"]:
-                row["generate_seconds"] = None
-                row["eigensolve_seconds"] = None
-            return d
-
-        assert strip(a) == strip(b)
-
-    def test_sizes_below_k_exit_1(self, capsys):
-        assert entry(["bench", "--sizes", "2,4", "--k", "3"]) == EXIT_USAGE
-        assert capsys.readouterr().err
-
-
 class TestParser:
     def test_missing_subcommand_exits_1(self, capsys):
         assert entry([]) == EXIT_USAGE

@@ -13,7 +13,6 @@ from hyperexpand.gnn.layers import (
     glorot,
     init_expander_params,
     init_gin_params,
-    masked_mean_pool,
 )
 from hyperexpand.graphs import (
     build_graph,
@@ -220,28 +219,6 @@ class TestPermutationEquivariance:
         out2 = expander_layer_forward(h2, b2, p)
         full_perm = perm_l + [n + r for r in perm_r]
         assert np.max(np.abs(out2[full_perm] - out)) <= 1e-12
-
-
-class TestMaskedMeanPool:
-    def test_no_mask(self):
-        out = masked_mean_pool(np.array([[1.0, 2.0], [3.0, 4.0]]), [False, False])
-        assert out.tolist() == [2.0, 3.0]
-
-    def test_hyperedge_excluded(self):
-        out = masked_mean_pool(np.array([[1.0], [100.0]]), [False, True])
-        assert out.tolist() == [1.0]
-
-    def test_three_rows(self):
-        out = masked_mean_pool(np.array([[2.0], [4.0], [6.0]]), [False, False, True])
-        assert out.tolist() == [3.0]
-
-    def test_all_masked_rejected(self):
-        with pytest.raises(ValueError, match="masked"):
-            masked_mean_pool(np.array([[1.0]]), [True])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mask"):
-            masked_mean_pool(np.ones((3, 1)), [False, True])
 
 
 class TestValidation:

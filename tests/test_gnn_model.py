@@ -64,10 +64,6 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="schedule"):
             build_model(5, 8, 4, ())
 
-    def test_bad_readout_rejected(self):
-        with pytest.raises(ValueError, match="readout"):
-            build_model(5, 8, 4, layer_schedule(2), readout="sum")
-
     def test_deterministic_in_seed(self):
         a = build_model(5, 8, 4, layer_schedule(3), seed=11)
         b = build_model(5, 8, 4, layer_schedule(3), seed=11)
@@ -155,18 +151,6 @@ class TestForwardRewired:
         logits_rewired = forward(model, inst, feats)
         logits_plain = forward(model, cycle_graph(4), feats)
         assert np.max(np.abs(logits_rewired - logits_plain)) <= 1e-12
-
-    def test_mean_readout_ignores_hyperedge_rows(self, inst):
-        model = build_model(3, 3, 2, layer_schedule(2), seed=9, readout="mean")
-        feats = np.arange(12, dtype=np.float64).reshape(4, 3)
-        logits = forward(model, inst, feats)
-        padded = np.zeros((8, 3))
-        padded[:4] = feats
-        h1 = gin_layer_forward(padded, inst.original_view(), model.layers[0])
-        h2 = expander_layer_forward(h1, inst.expander, model.layers[1])
-        pooled = h2[:4].mean(axis=0)
-        want = pooled @ model.head.w + model.head.b
-        assert np.max(np.abs(logits - want)) <= 1e-12
 
 
 class TestSoftmaxCrossEntropy:

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
+from hyperexpand.construct import GeneratorConfig
 from hyperexpand.gnn.layers import (
     HyperedgeMode,
     expander_backward,
@@ -52,15 +51,15 @@ def sample_indices(rng, size, count):
     return sorted(picked)
 
 
-def check_model_gradients(model, feats, targets, adj, biadj, mask, rng, per_param):
+def check_model_gradients(model, feats, targets, adj, biadj, rng, per_param):
     """Central finite differences on sampled coordinates; returns the number
     of coordinates checked."""
 
     def loss_fn():
-        logits, _ = forward_batch(model, feats, adj, biadj, mask)
+        logits, _ = forward_batch(model, feats, adj, biadj)
         return softmax_cross_entropy(logits, targets)[0]
 
-    _, _, grads = loss_and_gradients(model, feats, targets, adj, biadj, mask)
+    _, _, grads = loss_and_gradients(model, feats, targets, adj, biadj)
     checked = 0
     for name, arr in named_parameters(model):
         flat = arr.reshape(-1) if arr.ndim else arr
@@ -86,7 +85,7 @@ def plain_config():
     jitter_parameters(model, 101)
     feats = random_feats(11, (3, 6, 4))
     targets = np.array([0, 2, 1])
-    return model, feats, targets, g.adjacency_matrix(), None, None
+    return model, feats, targets, g.adjacency_matrix(), None
 
 
 def rewired_config(mode, schedule, seed):
@@ -105,8 +104,7 @@ def rewired_config(mode, schedule, seed):
             inst1.expander.biadjacency().astype(np.float64),
         ]
     )
-    mask = np.asarray(inst0.hyperedge_mask, dtype=bool)
-    return model, feats, targets, adj, biadj, mask
+    return model, feats, targets, adj, biadj
 
 
 def test_finite_differences_across_all_layer_types():
@@ -131,11 +129,11 @@ def test_finite_differences_across_all_layer_types():
         rng=rng,
         per_param=5,
     )
-    model, feats, targets, adj, biadj, mask = rewired_config(
-        HyperedgeMode.SUMMATION, (LayerKind.ORIGINAL, LayerKind.EXPANDER), seed=41
+    total += check_model_gradients(
+        *rewired_config(HyperedgeMode.SUMMATION, (LayerKind.ORIGINAL, LayerKind.EXPANDER), seed=41),
+        rng=rng,
+        per_param=5,
     )
-    model.readout = "mean"
-    total += check_model_gradients(model, feats, targets, adj, biadj, mask, rng, per_param=5)
     assert total >= 200, f"only {total} coordinates checked"
 
 

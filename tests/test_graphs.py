@@ -14,10 +14,8 @@ from hyperexpand.graphs import (
     circular_ladder_graph,
     complete_bipartite_graph,
     complete_graph,
-    connected_components,
     cycle_graph,
     disjoint_union,
-    hypergraph_from_bipartite,
     is_connected,
     is_k_regular,
     make_bipartite_expander,
@@ -119,7 +117,6 @@ class TestPredicates:
         g = disjoint_union(cycle_graph(3), cycle_graph(3))
         assert bfs_diameter(g) == math.inf
         assert not is_connected(g)
-        assert connected_components(g) == 2
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -177,10 +174,6 @@ class TestBipartiteExpander:
         m = b.biadjacency()
         assert m.tolist() == [[0, 1], [1, 0]]
 
-    def test_right_neighbors(self):
-        b = make_bipartite_expander(2, 2, 2, ((0, 1), (1, 0)))
-        assert b.right_neighbors() == [[0, 1], [0, 1]]
-
     def test_rejects_unequal_sides(self):
         with pytest.raises(GraphError):
             make_bipartite_expander(2, 3, 1, ((0, 1),))
@@ -196,13 +189,6 @@ class TestBipartiteExpander:
     def test_rejects_k_out_of_range(self):
         with pytest.raises(GraphError):
             make_bipartite_expander(2, 2, 3, ((0, 1), (1, 0), (0, 1)))
-
-    def test_hypergraph_view(self):
-        b = make_bipartite_expander(3, 3, 2, ((0, 1, 2), (1, 2, 0)))
-        h = hypergraph_from_bipartite(b)
-        assert h.n == 3
-        assert len(h.hyperedges) == 3
-        assert h.uniform_cardinality() == 2
 
 
 def test_disjoint_union_relabels():

@@ -23,7 +23,6 @@ from hyperexpand.spectral import (
     chung_diameter_bound,
     dodziuk_bounds,
     expander_constant_lower_bound,
-    is_ramanujan,
     jacobi_eigenvalues,
     nontrivial_lambda,
 )
@@ -112,25 +111,26 @@ class TestNontrivialLambda:
 
 
 class TestRamanujan:
+    """The verdict analyze reports as SpectralReport.ramanujan."""
+
     def test_c4_true(self):
-        assert is_ramanujan(cycle_graph(4)) is True
+        assert analyze(cycle_graph(4)).ramanujan is True
 
     def test_k33_true(self, k33):
-        assert is_ramanujan(k33) is True
+        assert analyze(k33).ramanujan is True
 
     def test_circular_ladder_16_false(self):
-        g = circular_ladder_graph(16)
-        assert is_ramanujan(g) is False
-        lam = analyze(g).lambda_nontrivial
-        assert lam == pytest.approx(2 * math.cos(2 * math.pi / 16) + 1, abs=TOL)
+        rep = analyze(circular_ladder_graph(16))
+        assert rep.ramanujan is False
+        assert rep.lambda_nontrivial == pytest.approx(2 * math.cos(2 * math.pi / 16) + 1, abs=TOL)
 
     def test_disconnected_absent(self):
         g = disjoint_union(complete_graph(4), complete_graph(4))
-        assert is_ramanujan(g) is None
+        assert analyze(g).ramanujan is None
 
     def test_non_regular_raises(self):
         with pytest.raises(NotRegularError):
-            is_ramanujan(build_graph(3, [(0, 1)]))
+            analyze(build_graph(3, [(0, 1)]))
 
 
 class TestBoundFormulas:

@@ -125,3 +125,66 @@ class TestRewiredTraining:
         # depth-1 trees have 3 nodes; k=3 still works by clamping
         res = train(tiny(epochs=2, rewire=True, expander_k=5))
         assert np.isfinite(res.final_loss)
+
+
+# Loss histories of depth-2 runs (10 epochs, 64 instances, seed 3) at
+# otherwise default settings. Refactors of the GIN engine must keep the
+# operand order, so these stay put to within float64 rounding.
+GOLDEN_HISTORIES = {
+    "plain": (
+        {},
+        [
+            2.529726113383799,
+            1.555555149768352,
+            1.4012922359762026,
+            1.3705908185090876,
+            1.3561175890217454,
+            1.3459669133881462,
+            1.3377858952402624,
+            1.3290248468394608,
+            1.3206742561689095,
+            1.314517974373342,
+        ],
+        1.3077989306531403,
+    ),
+    "summation": (
+        {"rewire": True, "hyperedge_mode": HyperedgeMode.SUMMATION},
+        [
+            8.647234175811164,
+            6.748000533982119,
+            26.63469124902463,
+            5.038513246754789,
+            2.09544662077889,
+            1.6500401182985458,
+            1.5557248616221087,
+            1.5918102346821907,
+            1.5699818625959372,
+            1.3685788980528626,
+        ],
+        1.3313996971688078,
+    ),
+    "learned": (
+        {"rewire": True, "hyperedge_mode": HyperedgeMode.LEARNED},
+        [
+            3.574152499729757,
+            5.114422139293186,
+            2.0083973999087865,
+            1.8059166956376642,
+            1.403613807438703,
+            1.3543600659653496,
+            1.326851058616327,
+            1.3098479422173972,
+            1.2984413279919282,
+            1.2886455852629117,
+        ],
+        1.2804796438882091,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_HISTORIES))
+def test_golden_loss_history(variant):
+    extra, losses, final_loss = GOLDEN_HISTORIES[variant]
+    res = train(TrainConfig(depth=2, epochs=10, dataset_size=64, seed=3, **extra))
+    assert res.losses == pytest.approx(losses, rel=1e-12, abs=0)
+    assert res.final_loss == pytest.approx(final_loss, rel=1e-12, abs=0)
