@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 
 from .graphs import BipartiteExpander, is_connected, make_bipartite_expander
 from .rng import SplitMix64, derive_seed
-from .spectral import DEFAULT_TOLERANCE, SpectralReport, alon_boppana_reference, analyze
+from .spectral import (
+    DEFAULT_TOLERANCE,
+    SpectralReport,
+    alon_boppana_reference,
+    analyze,
+    check_tolerance,
+)
 
 
 class RetryBudgetExhausted(RuntimeError):
@@ -63,6 +69,7 @@ class GeneratorConfig:
             )
         if self.max_matching_retries < 0 or self.max_ramanujan_attempts < 1:
             raise ValueError("retry budgets must be nonnegative (attempts >= 1)")
+        check_tolerance(self.tolerance)
 
     @property
     def connectivity_required(self) -> bool:
@@ -136,8 +143,9 @@ def ramanujan_bipartite(
     """Rejection-sample k_regular_bipartite until lambda(G) <= 2 sqrt(k-1).
 
     Returns the accepted expander, the 1-based attempt count, and the
-    spectral report that certified it. Each attempt costs a full
-    eigendecomposition of the 2n-vertex adjacency matrix.
+    spectral report that certified it. Each attempt costs one dense
+    singular-value decomposition of the n x n biadjacency block, which
+    gives the whole 2n-vertex adjacency spectrum.
     """
     if cfg.k < 2:
         raise ValueError("Ramanujan sampling needs k >= 2 (k=1 has no nontrivial spectrum)")

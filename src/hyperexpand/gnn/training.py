@@ -50,8 +50,8 @@ class TrainConfig:
             raise ValueError("depth, num_layers, hidden_dim must be >= 1")
         if self.epochs < 1 or self.dataset_size < 1:
             raise ValueError("epochs and dataset_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.expander_k < 1:
             raise ValueError("expander_k must be >= 1")
         if self.optimizer not in ("sgd", "adam"):

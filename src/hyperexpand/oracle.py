@@ -19,6 +19,7 @@ from .spectral import (
     DEFAULT_TOLERANCE,
     NotRegularError,
     adjacency_eigenvalues,
+    check_tolerance,
     chung_diameter_bound,
     dodziuk_bounds,
     expander_constant_lower_bound,
@@ -235,6 +236,7 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
     larger spectral bound), so bipartite violations are flagged
     known-discrepancy rather than unexpected.
     """
+    check_tolerance(tolerance)
     k = is_k_regular(g)
     if k is None:
         raise NotRegularError("verify_bounds requires a k-regular graph")

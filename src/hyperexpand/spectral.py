@@ -1,9 +1,12 @@
 """Adjacency spectra and the spectral expansion bounds for regular graphs.
 
-Provides two interchangeable symmetric eigensolvers: LAPACK's dense solver
-(default, via numpy) and a cyclic Jacobi rotation solver kept as an
-independent reference route; tests cross-check them against each other
-and against analytic spectra.
+The default LAPACK route uses the graph's structure: a bipartite graph has
+A = [[0, B], [B^T, 0]], so its spectrum is +-sigma(B) plus ||L| - |R||
+zeros, read from the singular values of the |L| x |R| biadjacency block B;
+any other graph gets a dense symmetric eigensolve of A. A cyclic Jacobi
+rotation solver on the full matrix is kept as an independent reference
+route; tests cross-check the routes against each other and against
+analytic spectra. Every route is dense and capped at MAX_DENSE_N vertices.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ import numpy as np
 from .graphs import Graph, bipartition, is_k_regular
 
 DEFAULT_TOLERANCE = 1e-8
+# Largest vertex count any route densifies: an 8192^2 float64 matrix is 512 MiB.
+MAX_DENSE_N = 8192
 _JACOBI_MAX_SWEEPS = 60
 
 
@@ -29,6 +34,16 @@ class EigensolverError(RuntimeError):
 
 class NotRegularError(ValueError):
     """Operation requires a k-regular graph."""
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Reject a tolerance outside (0, 1), NaN and infinities included.
+
+    At or above 1 the trivial band k(1 - tolerance) is <= 0, so every
+    eigenvalue would count as trivial; at 0 Jacobi can never converge.
+    """
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -86,24 +101,56 @@ def jacobi_eigenvalues(
     return np.sort(np.diag(a))[::-1].copy()
 
 
+def _bipartite_eigenvalues(g: Graph, side: list[int]) -> np.ndarray:
+    """Descending +-sigma(B) plus ||L| - |R|| zeros, every zero written +0.0.
+
+    B is the |L| x |R| block of A = [[0, B], [B^T, 0]], built from the
+    adjacency lists: rows are the side-0 vertices, columns the side-1
+    vertices.
+    """
+    counts = [0, 0]
+    pos = []
+    for s in side:
+        pos.append(counts[s])
+        counts[s] += 1
+    b = np.zeros((counts[0], counts[1]), dtype=np.float64)
+    for u, s in enumerate(side):
+        if s == 0:
+            for v in g.adjacency[u]:
+                b[pos[u], pos[v]] = 1.0
+    sv = np.linalg.svdvals(b) + 0.0  # descending; + 0.0 turns a -0.0 into +0.0
+    zeros = np.zeros(abs(counts[0] - counts[1]))
+    return np.concatenate([sv, zeros, (0.0 - sv)[::-1]])
+
+
 def adjacency_eigenvalues(
     g: Graph, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto"
 ) -> np.ndarray:
     """All n adjacency eigenvalues, sorted descending.
 
-    method: "lapack" (numpy dense symmetric solve), "jacobi" (cyclic
-    rotations), or "auto" (lapack).  Both meet the tolerance contract on
-    the sizes this toolkit targets (n up to ~2000 dense).
+    method: "lapack", "jacobi" (cyclic rotations on the full matrix), or
+    "auto" (lapack).  The lapack route takes the singular values of the
+    biadjacency block when bipartition(g) finds a two-colouring, so the
+    n x n matrix is never built, and a dense symmetric eigensolve of the
+    full matrix otherwise; both are backward stable, each eigenvalue within
+    O(eps * max degree).  Raises ValueError above MAX_DENSE_N vertices.
     """
     if g.n < 1:
         raise ValueError("eigenvalues need n >= 1")
     if method not in ("auto", "lapack", "jacobi"):
         raise ValueError(f"unknown method {method!r}")
-    a = g.adjacency_matrix()
+    if g.n > MAX_DENSE_N:
+        raise ValueError(
+            f"graph has n={g.n} vertices; dense eigensolves are capped at "
+            f"MAX_DENSE_N={MAX_DENSE_N}"
+        )
     if method == "jacobi":
-        return jacobi_eigenvalues(a, tolerance)
+        return jacobi_eigenvalues(g.adjacency_matrix(), tolerance)
+    side = bipartition(g)
     try:
-        eigs = np.linalg.eigvalsh(a)
+        if side is not None:
+            return _bipartite_eigenvalues(g, side)
+        eigs = np.linalg.eigvalsh(g.adjacency_matrix())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"dense eigensolve failed: {exc}", residual=math.nan)
     return eigs[::-1].copy()
@@ -220,6 +267,7 @@ def analyze(
     tolerance is treated as exactly 0 in the diameter bound, where the
     formula's limit is exactly alpha.
     """
+    check_tolerance(tolerance)
     k = is_k_regular(g)
     if k is None:
         raise NotRegularError(

@@ -21,12 +21,24 @@ from hyperexpand.serialize import (
     graph_to_dict,
     load_graph_file,
 )
+from hyperexpand.spectral import MAX_DENSE_N
 
 
 def write_graph(tmp_path, name, g):
     path = tmp_path / name
     path.write_text(dumps_canonical(graph_to_dict(g)) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Fail the test if any command reaches an eigensolve."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr("hyperexpand.spectral.adjacency_eigenvalues", refuse)
+    monkeypatch.setattr("hyperexpand.oracle.adjacency_eigenvalues", refuse)
 
 
 def run_to_file(argv, tmp_path, name):
@@ -159,11 +171,48 @@ class TestAnalyze:
         assert code == EXIT_OK
         assert json.loads(out.read_text())["config"]["method"] == "jacobi"
 
+    def test_above_dense_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.edges"
+        path.write_text(f"# n={MAX_DENSE_N + 1}\n")
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"n={MAX_DENSE_N + 1}" in err and str(MAX_DENSE_N) in err
+
     def test_byte_identical_rerun(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))
         _, a = run_to_file(["analyze", "--in", path], tmp_path, "a.json")
         _, b = run_to_file(["analyze", "--in", path], tmp_path, "b.json")
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadTolerance:
+    """Each command rejects a tolerance outside (0, 1) before any eigensolve."""
+
+    @pytest.fixture
+    def triangle(self, tmp_path):
+        return write_graph(tmp_path, "k3.json", cycle_graph(3))
+
+    def test_analyze_negative(self, triangle, capsys, no_eigensolve):
+        assert entry(["analyze", "--in", triangle, "--tolerance", "-1"]) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_analyze_nan(self, triangle, capsys, no_eigensolve):
+        assert entry(["analyze", "--in", triangle, "--tolerance", "nan"]) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_generate_ramanujan_nan(self, capsys, no_eigensolve):
+        argv = ["generate", "--n", "1024", "--k", "3", "--ramanujan", "--tolerance", "nan"]
+        assert entry(argv) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_verify_one(self, tmp_path, capsys, no_eigensolve):
+        path = write_graph(tmp_path, "c6.json", cycle_graph(6))
+        assert entry(["verify", "--in", path, "--tolerance", "1"]) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_rewire_inf(self, triangle, capsys, no_eigensolve):
+        assert entry(["rewire", "--in", triangle, "--tolerance", "inf"]) == EXIT_USAGE
+        assert "tolerance" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -307,6 +356,11 @@ class TestTrain:
         a = json.loads(plain.read_text())["result"]["runs"][0]["final_accuracy"]
         b = json.loads(rew.read_text())["result"]["runs"][0]["final_accuracy"]
         assert 0.0 <= a <= 1.0 and 0.0 <= b <= 1.0
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_bad_lr_exits_1(self, lr, capsys):
+        assert entry(TINY_TRAIN + ["--lr", lr]) == EXIT_USAGE
+        assert "learning rate" in capsys.readouterr().err
 
     def test_bad_seeds_list_exits_1(self, capsys):
         assert entry(TINY_TRAIN + ["--seeds", "1,x"]) == EXIT_USAGE

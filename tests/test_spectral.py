@@ -4,17 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
 from hyperexpand.graphs import (
+    Graph,
     build_graph,
     circular_ladder_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    path_graph,
     petersen_graph,
 )
+from hyperexpand.oracle import verify_bounds
 from hyperexpand.spectral import (
+    MAX_DENSE_N,
     EigensolverError,
     NotRegularError,
     adjacency_eigenvalues,
@@ -91,6 +98,99 @@ class TestEigensolvers:
 
     def test_single_vertex(self):
         assert adjacency_eigenvalues(build_graph(1, [])).tolist() == [0.0]
+
+
+def assert_matches_full_eigvalsh(g):
+    """The LAPACK route against a test-time eigvalsh of the full matrix."""
+    eigs = adjacency_eigenvalues(g)
+    assert_multiset_close(eigs, np.linalg.eigvalsh(g.adjacency_matrix()), tol=1e-10)
+    assert eigs.tolist() == sorted(eigs.tolist(), reverse=True)
+    assert not np.signbit(eigs[eigs == 0.0]).any()
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Random edge subsets of L x R with |L| != |R| and shuffled vertex ids."""
+    n_left = draw(st.integers(1, 7))
+    n_right = draw(st.integers(1, 7).filter(lambda r: r != n_left))
+    label = draw(st.permutations(range(n_left + n_right)))
+    pairs = [(l, n_left + r) for l in range(n_left) for r in range(n_right)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(label[u], label[v]) for (u, v), kept in zip(pairs, keep) if kept]
+    return build_graph(n_left + n_right, edges)
+
+
+class TestBipartiteRoute:
+    """Bipartite input: the singular values of the biadjacency block."""
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(4),
+            build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+            path_graph(5),
+            build_graph(5, [(i, 2 + j) for i in range(2) for j in range(3)]),
+            disjoint_union(cycle_graph(6), build_graph(1, [])),
+            build_graph(1, []),
+        ],
+        ids=["C4", "K1,3", "P5", "K2,3", "C6+K1", "n1"],
+    )
+    def test_small_graphs_match_eigvalsh(self, g):
+        assert_matches_full_eigvalsh(g)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_expanders_match_eigvalsh(self, n, k):
+        expander = k_regular_bipartite(GeneratorConfig(n=n, k=k, seed=n + k))
+        assert_matches_full_eigvalsh(expander.to_graph())
+
+    @settings(max_examples=150, deadline=None)
+    @given(bipartite_graphs())
+    def test_random_unequal_sides_match_eigvalsh(self, g):
+        assert_matches_full_eigvalsh(g)
+
+    def test_full_matrix_never_built(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("bipartite route built the n x n matrix")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+        assert_multiset_close(adjacency_eigenvalues(cycle_graph(8)), cycle_spectrum(8))
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_odd_cycles_take_eigvalsh(self, n, monkeypatch):
+        def refuse(b):
+            raise AssertionError("non-bipartite input reached the SVD route")
+
+        monkeypatch.setattr(np.linalg, "svdvals", refuse)
+        assert_multiset_close(adjacency_eigenvalues(cycle_graph(n)), cycle_spectrum(n))
+
+
+class TestDenseCap:
+    def test_cap_covers_benchmark_sizes(self):
+        assert MAX_DENSE_N >= 8192
+
+    @pytest.mark.parametrize("method", ["auto", "lapack", "jacobi"])
+    def test_above_cap_rejected_before_allocation(self, method, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built above the cap")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+        g = build_graph(MAX_DENSE_N + 1, [])
+        with pytest.raises(ValueError, match=f"n={MAX_DENSE_N + 1}.*{MAX_DENSE_N}"):
+            adjacency_eigenvalues(g, method=method)
+        with pytest.raises(ValueError, match="MAX_DENSE_N"):
+            analyze(g, method=method)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf])
+    def test_rejected_at_every_boundary(self, tol, k33):
+        with pytest.raises(ValueError, match="tolerance"):
+            analyze(k33, tolerance=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_bounds(k33, tolerance=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            GeneratorConfig(n=4, k=2, tolerance=tol)
 
 
 class TestNontrivialLambda:
