@@ -306,8 +306,6 @@ def entry(argv: list[str] | None = None) -> int:
         ValueError,
         OSError,
         json.JSONDecodeError,
-        KeyError,
-        TypeError,
     ) as e:
         print(f"hyperexpand: error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import BipartiteExpander, is_connected, make_bipartite_expander
+from .graphs import MAX_VERTICES, BipartiteExpander, is_connected, make_bipartite_expander
 from .rng import SplitMix64, derive_seed
 from .spectral import (
     DEFAULT_TOLERANCE,
@@ -63,6 +63,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"side size must be >= 1, got n={self.n}")
+        if 2 * self.n > MAX_VERTICES:
+            raise ValueError(
+                f"side size n={self.n} gives 2n={2 * self.n} vertices, above MAX_VERTICES={MAX_VERTICES}"
+            )
         if not 1 <= self.k <= self.n:
             raise ValueError(
                 f"need 1 <= k <= n for k disjoint perfect matchings, got k={self.k}, n={self.n}"

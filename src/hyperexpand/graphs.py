@@ -18,6 +18,12 @@ class GraphError(ValueError):
     """Invalid graph input (bad ids, self-loops, duplicate edges, ...)."""
 
 
+# Largest vertex count any graph may declare. build_graph allocates one
+# adjacency list per vertex, so a larger count (a "# n=" header, a JSON
+# "n", a generator side size) is refused before anything is allocated.
+MAX_VERTICES = 1 << 22
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with sorted adjacency lists.
@@ -51,11 +57,14 @@ class Graph:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from an edge list.
 
-    Rejects out-of-range ids, self-loops, and duplicate edges (in either
-    orientation), naming the offending pair.
+    Rejects vertex counts above MAX_VERTICES, out-of-range ids,
+    self-loops, and duplicate edges (in either orientation), naming the
+    offending pair.
     """
     if n < 0:
         raise GraphError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
@@ -181,6 +190,10 @@ def make_bipartite_expander(
     if n_left != n_right:
         raise GraphError(
             f"perfect matchings need equal sides, got {n_left} vs {n_right}"
+        )
+    if n_left + n_right > MAX_VERTICES:
+        raise GraphError(
+            f"sides n_left={n_left}, n_right={n_right} exceed MAX_VERTICES={MAX_VERTICES}"
         )
     if not (1 <= k <= n_left):
         raise GraphError(f"regularity k={k} must satisfy 1 <= k <= n={n_left}")

@@ -20,6 +20,7 @@ from .serialize import (
     bipartite_to_dict,
     graph_from_dict,
     graph_to_dict,
+    payload_field,
 )
 
 
@@ -79,11 +80,11 @@ def rewired_from_dict(data: dict) -> RewiredInstance:
     if data.get("format") != REWIRED_FORMAT:
         raise ValueError(f"expected format {REWIRED_FORMAT!r}, got {data.get('format')!r}")
     return RewiredInstance(
-        original=graph_from_dict(data["original"]),
-        expander=bipartite_from_dict(data["expander"]),
-        total_nodes=int(data["total_nodes"]),
-        hyperedge_mask=tuple(bool(b) for b in data["hyperedge_mask"]),
-        schedule=tuple(LayerKind(s) for s in data["schedule"]),
+        original=graph_from_dict(payload_field(data, "original")),
+        expander=bipartite_from_dict(payload_field(data, "expander")),
+        total_nodes=payload_field(data, "total_nodes", int),
+        hyperedge_mask=payload_field(data, "hyperedge_mask", lambda m: tuple(bool(b) for b in m)),
+        schedule=payload_field(data, "schedule", lambda s: tuple(LayerKind(x) for x in s)),
     )
 
 

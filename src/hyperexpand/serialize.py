@@ -67,14 +67,30 @@ def _write(obj, out: list[str]) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _check_format(d, expected: str) -> None:
+    fmt = d.get("format") if isinstance(d, dict) else type(d).__name__
+    if fmt != expected:
+        raise ValueError(f"expected format {expected!r}, got {fmt!r}")
+
+
+def payload_field(d: dict, name: str, parse=lambda value: value):
+    """parse(d[name]); a missing or malformed field is a ValueError naming it."""
+    if name not in d:
+        raise ValueError(f"payload has no field {name!r}")
+    try:
+        return parse(d[name])
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"malformed field {name!r}: {e}") from None
+
+
 def graph_to_dict(g: Graph) -> dict:
     return {"format": GRAPH_FORMAT, "n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
 def graph_from_dict(d: dict) -> Graph:
-    if d.get("format") != GRAPH_FORMAT:
-        raise ValueError(f"expected format {GRAPH_FORMAT!r}, got {d.get('format')!r}")
-    return build_graph(int(d["n"]), [(int(u), int(v)) for u, v in d["edges"]])
+    _check_format(d, GRAPH_FORMAT)
+    n = payload_field(d, "n", int)
+    return build_graph(n, payload_field(d, "edges", lambda es: [(int(u), int(v)) for u, v in es]))
 
 
 def bipartite_to_dict(b: BipartiteExpander) -> dict:
@@ -88,15 +104,12 @@ def bipartite_to_dict(b: BipartiteExpander) -> dict:
 
 
 def bipartite_from_dict(d: dict) -> BipartiteExpander:
-    if d.get("format") != BIPARTITE_FORMAT:
-        raise ValueError(
-            f"expected format {BIPARTITE_FORMAT!r}, got {d.get('format')!r}"
-        )
+    _check_format(d, BIPARTITE_FORMAT)
     return make_bipartite_expander(
-        int(d["n_left"]),
-        int(d["n_right"]),
-        int(d["k"]),
-        [[int(x) for x in m] for m in d["matchings"]],
+        payload_field(d, "n_left", int),
+        payload_field(d, "n_right", int),
+        payload_field(d, "k", int),
+        payload_field(d, "matchings", lambda ms: [[int(x) for x in m] for m in ms]),
     )
 
 

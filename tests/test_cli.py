@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hyperexpand.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, entry
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
 from hyperexpand.graphs import (
+    MAX_VERTICES,
     circular_ladder_graph,
     complete_bipartite_graph,
     cycle_graph,
@@ -39,6 +43,29 @@ def no_eigensolve(monkeypatch):
 
     monkeypatch.setattr("hyperexpand.spectral.adjacency_eigenvalues", refuse)
     monkeypatch.setattr("hyperexpand.oracle.adjacency_eigenvalues", refuse)
+
+
+def run_module(argv, address_space=None):
+    """Run `python -m hyperexpand argv` in a child process that finds this
+    source tree; address_space caps the child's memory in bytes."""
+    import hyperexpand
+
+    src = str(Path(hyperexpand.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cap():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "hyperexpand", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=cap,
+        timeout=120,
+    )
 
 
 def run_to_file(argv, tmp_path, name):
@@ -215,6 +242,66 @@ class TestBadTolerance:
         assert "tolerance" in capsys.readouterr().err
 
 
+class TestVertexCountCap:
+    """A declared vertex count above MAX_VERTICES exits 1 before anything is
+    allocated. The child runs with 2 GiB of address space, so a missing check
+    fails the test instead of exhausting the machine."""
+
+    def test_huge_header_exits_1(self, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text("# n=1000000000000\n0 1\n")
+        proc = run_module(["analyze", "--in", str(path)], address_space=2 << 30)
+        assert proc.returncode == EXIT_USAGE
+        assert "n=1000000000000" in proc.stderr and str(MAX_VERTICES) in proc.stderr
+
+    def test_huge_json_n_exits_1(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"format": "hyperexpand-graph-v1", "n": 10**12, "edges": []}))
+        proc = run_module(["verify", "--in", str(path)], address_space=2 << 30)
+        assert proc.returncode == EXIT_USAGE
+        assert str(MAX_VERTICES) in proc.stderr
+
+    def test_huge_generate_n_exits_1(self):
+        proc = run_module(["generate", "--n", str(10**12), "--k", "3"], address_space=2 << 30)
+        assert proc.returncode == EXIT_USAGE
+        assert f"n={10**12}" in proc.stderr and str(MAX_VERTICES) in proc.stderr
+
+    def test_limit_holds_the_largest_benchmark_graph(self):
+        assert 2 * 100_000 <= MAX_VERTICES
+
+
+class TestMalformedPayload:
+    """Parse errors name the field; other exceptions are not usage errors."""
+
+    def test_missing_edges_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"format": "hyperexpand-graph-v1", "n": 3}))
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "edges" in capsys.readouterr().err
+
+    def test_null_n_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"format": "hyperexpand-graph-v1", "n": None, "edges": []}))
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "'n'" in capsys.readouterr().err
+
+    def test_bad_matchings_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        payload = {"format": "hyperexpand-bipartite-v1", "n_left": 2, "n_right": 2, "k": 1, "matchings": 5}
+        path.write_text(json.dumps(payload))
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "matchings" in capsys.readouterr().err
+
+    def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr("hyperexpand.cli.verify_bounds", broken)
+        path = write_graph(tmp_path, "c6.json", cycle_graph(6))
+        with pytest.raises(TypeError, match="internal bug"):
+            entry(["verify", "--in", path])
+
+
 class TestVerify:
     def test_k33_known_discrepancy(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))
@@ -382,10 +469,6 @@ class TestParser:
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hyperexpand", "generate", "--n", "2", "--k", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["generate", "--n", "2", "--k", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["expander"]["n_left"] == 2

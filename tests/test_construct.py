@@ -9,7 +9,7 @@ from hyperexpand.construct import (
     ramanujan_bipartite,
     random_perfect_matching,
 )
-from hyperexpand.graphs import bipartition, is_connected, is_k_regular
+from hyperexpand.graphs import MAX_VERTICES, bipartition, is_connected, is_k_regular
 from hyperexpand.rng import SplitMix64
 from hyperexpand.spectral import alon_boppana_reference, analyze
 
@@ -49,6 +49,11 @@ class TestConfig:
             GeneratorConfig(n=3, k=2, max_matching_retries=-1)
         with pytest.raises(ValueError, match="budget"):
             GeneratorConfig(n=3, k=2, max_ramanujan_attempts=0)
+
+    def test_side_size_limit(self):
+        GeneratorConfig(n=MAX_VERTICES // 2, k=3)
+        with pytest.raises(ValueError, match="MAX_VERTICES"):
+            GeneratorConfig(n=MAX_VERTICES // 2 + 1, k=3)
 
 
 class TestMatchings:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyperexpand.graphs import (
+    MAX_VERTICES,
     BipartiteExpander,
     GraphError,
     bfs_diameter,
@@ -63,6 +64,14 @@ class TestBuildGraph:
     def test_rejects_negative_n(self):
         with pytest.raises(GraphError):
             build_graph(-1, [])
+
+    def test_rejects_vertex_count_above_limit(self):
+        with pytest.raises(GraphError, match=f"n={MAX_VERTICES + 1}.*MAX_VERTICES={MAX_VERTICES}"):
+            build_graph(MAX_VERTICES + 1, [])
+
+    def test_expander_sides_above_limit(self):
+        with pytest.raises(GraphError, match="MAX_VERTICES"):
+            make_bipartite_expander(MAX_VERTICES, MAX_VERTICES, 1, [[0]])
 
     def test_empty_graph(self):
         g = build_graph(0, [])

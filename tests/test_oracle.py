@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import json
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperexpand.oracle as oracle
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
 from hyperexpand.graphs import (
     build_graph,
+    circular_ladder_graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -23,7 +32,10 @@ from hyperexpand.oracle import (
     vertex_expansion,
 )
 from hyperexpand.rng import SplitMix64
+from hyperexpand.serialize import dumps_canonical
 from hyperexpand.spectral import NotRegularError, expander_constant_lower_bound
+
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_golden.json"
 
 
 def gray_code_expansion(g, mode):
@@ -82,6 +94,21 @@ def random_graph(seed):
     return build_graph(n, edges)
 
 
+def generalized_petersen(m, s):
+    """GP(m, s): outer m-cycle, spokes, inner star polygon {m/s}."""
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (i, m + i), (m + i, m + (i + s) % m)]
+    return build_graph(2 * m, edges)
+
+
+def assert_matches_gray_code(g, mode, label=""):
+    fn = vertex_expansion if mode == "vertex" else edge_expansion
+    ratio, size, subset = gray_code_expansion(g, mode)
+    w = fn(g)
+    assert (w.fraction(), len(w.subset), w.subset) == (ratio, size, subset), label
+
+
 class TestAgainstGrayCodeReference:
     @pytest.mark.parametrize("mode", ["vertex", "edge"])
     def test_fifty_random_graphs(self, mode):
@@ -93,6 +120,73 @@ class TestAgainstGrayCodeReference:
             assert w.fraction() == ratio, f"seed {seed}"
             assert len(w.subset) == size, f"seed {seed}"
             assert w.subset == subset, f"seed {seed}"
+
+
+class TestChunkedScan:
+    """Masks are scanned in chunks split by high bits; neither the witnesses
+    nor the worst margin may depend on the chunk width."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("mode", ["vertex", "edge"])
+    def test_fifty_random_graphs_many_chunks(self, mode, width, monkeypatch):
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", width)
+        for seed in range(50):
+            assert_matches_gray_code(random_graph(seed), mode, f"seed {seed}")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_graphs_any_width(self, data):
+        n = data.draw(st.integers(2, 10), label="n")
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        # sparse draws are often disconnected, where the ratio is 0
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True), label="edges")
+        width = data.draw(st.integers(1, n), label="width")
+        g = build_graph(n, edges)
+        with mock.patch.object(oracle, "_CHUNK_BITS", width):
+            for mode in ("vertex", "edge"):
+                assert_matches_gray_code(g, mode)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_verify_report_independent_of_width(self, width, monkeypatch):
+        graphs = [
+            complete_bipartite_graph(3),
+            petersen_graph(),
+            circular_ladder_graph(5),
+            k_regular_bipartite(GeneratorConfig(n=5, k=3, seed=1)).to_graph(),
+        ]
+        want = [verify_bounds(g).to_dict() for g in graphs]
+        monkeypatch.setattr(oracle, "_CHUNK_BITS", width)
+        assert [verify_bounds(g).to_dict() for g in graphs] == want
+
+    @pytest.mark.parametrize("which", ["bipartite-18", "disconnected-17"])
+    def test_default_width_several_chunks(self, which):
+        if which == "bipartite-18":
+            g = k_regular_bipartite(GeneratorConfig(n=9, k=3, seed=0)).to_graph()
+        else:
+            g = disjoint_union(petersen_graph(), cycle_graph(7))
+        assert g.n > oracle._CHUNK_BITS
+        for mode in ("vertex", "edge"):
+            assert_matches_gray_code(g, mode)
+
+
+class TestGoldenVerify:
+    """verify_bounds on the 20-24-vertex corpus, pinned byte for byte."""
+
+    @pytest.mark.parametrize("m,s", [(10, 2), (10, 3), (11, 1), (11, 2), (12, 5)])
+    def test_report(self, m, s):
+        want = json.loads(GOLDEN_VERIFY.read_text())[f"GP({m},{s})"]
+        got = verify_bounds(generalized_petersen(m, s)).to_dict()
+        assert dumps_canonical(got) == dumps_canonical(want)
+
+    def test_memory_bounded(self):
+        g = generalized_petersen(11, 1)
+        tracemalloc.start()
+        try:
+            verify_bounds(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestKnownWitnesses:

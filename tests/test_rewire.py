@@ -165,6 +165,23 @@ class TestRewiredInstance:
             rewired_from_dict(d)
 
 
+    @pytest.mark.parametrize(
+        "field", ["original", "expander", "total_nodes", "hyperedge_mask", "schedule"]
+    )
+    def test_envelope_names_missing_field(self, inst, field):
+        d = inst.to_dict()
+        del d[field]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            rewired_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["total_nodes", "hyperedge_mask", "schedule"])
+    def test_envelope_names_mistyped_field(self, inst, field):
+        d = inst.to_dict()
+        d[field] = None
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            rewired_from_dict(d)
+
+
 class TestReachability:
     """One expander round is two propagation phases, so ceil(diam/2) rounds
     must spread a one-hot signal from any left node to every left node."""

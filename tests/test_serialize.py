@@ -75,6 +75,47 @@ class TestGraphRoundTrip:
         assert d["edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
+class TestMalformedFields:
+    """Missing or mistyped fields are ValueErrors that name the field."""
+
+    @pytest.mark.parametrize(
+        "change,field",
+        [
+            ({"n": None}, "'n'"),
+            ({"n": [3]}, "'n'"),
+            ({"n": float("inf")}, "'n'"),
+            ({"edges": 7}, "'edges'"),
+            ({"edges": [[0, 1, 2]]}, "'edges'"),
+            ({"edges": [None]}, "'edges'"),
+        ],
+    )
+    def test_graph_fields(self, change, field):
+        d = {**graph_to_dict(cycle_graph(4)), **change}
+        with pytest.raises(ValueError, match=field):
+            graph_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["n", "edges"])
+    def test_graph_missing_field(self, field):
+        d = graph_to_dict(cycle_graph(4))
+        del d[field]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            graph_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["n_left", "n_right", "k", "matchings"])
+    def test_bipartite_fields(self, field):
+        d = bipartite_to_dict(make_bipartite_expander(2, 2, 1, [[1, 0]]))
+        del d[field]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            bipartite_from_dict(d)
+        d[field] = None
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            bipartite_from_dict(d)
+
+    def test_non_dict_payload(self):
+        with pytest.raises(ValueError, match="format"):
+            graph_from_dict([1, 2])
+
+
 class TestEdgeList:
     def test_round_trip_with_header(self):
         g = cycle_graph(5)
