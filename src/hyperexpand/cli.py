@@ -43,11 +43,7 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = dumps_canonical(payload) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+    _emit_text(dumps_canonical(payload) + "\n", out)
 
 
 def _emit_text(text: str, out: str | None) -> None:

@@ -1,8 +1,8 @@
 """GIN and bipartite expander layers with manual reverse-mode gradients.
 
-Everything is dense float64 numpy. Batched internals take features of
-shape (batch, nodes, dim) and an adjacency of shape (nodes, nodes) or
-(batch, nodes, nodes); the public single-instance ops wrap a batch of 1.
+Everything is dense float64 numpy. The kernels take features of shape
+(batch, nodes, dim) and an adjacency of shape (nodes, nodes) or
+(batch, nodes, nodes).
 Gradients are accumulated into a flat name->array dict so the finite
 difference tests and the optimizer can treat parameters uniformly.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs import BipartiteExpander, Graph
 from ..rng import SplitMix64
 
 
@@ -48,10 +47,13 @@ class GinLayerParams:
 class ExpanderLayerParams:
     """Two-phase bipartite pass: left -> hyperedge nodes, then back.
 
-    LEARNED mode runs a GIN update on the hyperedge nodes (their features
-    persist between expander layers within a forward pass); SUMMATION mode
-    overwrites each hyperedge feature with a linear map of the sum of its
-    left neighbors. Phase 2 is always a GIN update of the left nodes.
+    LEARNED mode runs a GIN update on the hyperedge nodes, reading their
+    own rows as well as their left neighbors. Those rows are not carried
+    unchanged from one expander layer to the next: each ORIGINAL layer in
+    between applies its MLP to them with zero aggregation, because they
+    are isolated in the augmented adjacency. SUMMATION mode overwrites
+    each hyperedge feature with a linear map of the sum of its left
+    neighbors. Phase 2 is always a GIN update of the left nodes.
     """
 
     mode: HyperedgeMode
@@ -191,32 +193,3 @@ def expander_backward(dout: np.ndarray, cache, p: ExpanderLayerParams, grads: di
         d_right_self = np.zeros_like(d_right)
     d_left = d_left + np.swapaxes(biadj, -1, -2) @ d_agg
     return np.concatenate([d_left, d_right_self], axis=-2)
-
-
-# ---------------------------------------------------------------------------
-# public single-instance ops
-
-
-def gin_layer_forward(h: np.ndarray, g: Graph, p: GinLayerParams) -> np.ndarray:
-    """One GIN layer over graph g; h has shape (g.n, d_in)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != g.n:
-        raise ValueError(f"expected features of shape ({g.n}, d), got {h.shape}")
-    if h.shape[1] != p.w1.shape[0]:
-        raise ValueError(f"feature dim {h.shape[1]} does not match W1 rows {p.w1.shape[0]}")
-    out, _ = gin_forward(h[None], g.adjacency_matrix(), p)
-    return out[0]
-
-
-def expander_layer_forward(h: np.ndarray, b: BipartiteExpander, p: ExpanderLayerParams) -> np.ndarray:
-    """One two-phase expander layer; h has shape (n_left + n_right, d)."""
-    h = np.asarray(h, dtype=np.float64)
-    total = b.n_left + b.n_right
-    if h.ndim != 2 or h.shape[0] != total:
-        raise ValueError(f"expected features of shape ({total}, d), got {h.shape}")
-    if h.shape[1] != p.backward_gin.w1.shape[0]:
-        raise ValueError(
-            f"feature dim {h.shape[1]} does not match W1 rows {p.backward_gin.w1.shape[0]}"
-        )
-    out, _ = expander_forward(h[None], b.biadjacency().astype(np.float64), p)
-    return out[0]

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs import Graph
-from ..rewire import LayerKind, RewiredInstance
+from ..rewire import LayerKind
 from ..rng import SplitMix64, derive_seed
 from .layers import (
     Affine,
@@ -35,9 +34,6 @@ class GinModel:
     schedule: tuple[LayerKind, ...]
     layers: list
     head: Affine
-    in_dim: int
-    hidden_dim: int
-    num_classes: int
 
 
 def build_model(
@@ -63,14 +59,7 @@ def build_model(
                 )
             layers.append(init_expander_params(rng, mode, hidden_dim, hidden_dim))
     head = init_affine(rng, hidden_dim, num_classes)
-    return GinModel(
-        schedule=tuple(schedule),
-        layers=layers,
-        head=head,
-        in_dim=in_dim,
-        hidden_dim=hidden_dim,
-        num_classes=num_classes,
-    )
+    return GinModel(schedule=tuple(schedule), layers=layers, head=head)
 
 
 def _gin_items(prefix: str, p: GinLayerParams):
@@ -172,47 +161,3 @@ def loss_and_gradients(
     accuracy = float((logits.argmax(axis=1) == targets).mean())
     grads = backward_batch(model, dlogits, caches)
     return loss, accuracy, grads
-
-
-def forward(model: GinModel, instance, features: np.ndarray) -> np.ndarray:
-    """Single-instance forward. instance is a Graph (plain schedule) or a
-    RewiredInstance; features cover the original nodes, and hyperedge rows
-    start at zero."""
-    features = np.asarray(features, dtype=np.float64)
-    if isinstance(instance, RewiredInstance):
-        n = instance.original.n
-        if features.shape != (n, model.in_dim):
-            raise ValueError(f"expected features ({n}, {model.in_dim}), got {features.shape}")
-        feats = np.zeros((1, instance.total_nodes, model.in_dim))
-        feats[0, :n] = features
-        adj = instance.original_view().adjacency_matrix()
-        biadj = instance.expander.biadjacency().astype(np.float64)
-        logits, _ = forward_batch(model, feats, adj, biadj)
-        return logits[0]
-    if isinstance(instance, Graph):
-        if any(kind is LayerKind.EXPANDER for kind in model.schedule):
-            raise ValueError("schedule has EXPANDER layers; a plain Graph cannot provide them")
-        if features.shape != (instance.n, model.in_dim):
-            raise ValueError(
-                f"expected features ({instance.n}, {model.in_dim}), got {features.shape}"
-            )
-        logits, _ = forward_batch(model, features[None], instance.adjacency_matrix())
-        return logits[0]
-    raise TypeError(f"instance must be Graph or RewiredInstance, got {type(instance)!r}")
-
-
-def parameters_to_dict(model: GinModel) -> dict:
-    tensors = {}
-    for name, arr in named_parameters(model):
-        tensors[name] = {"shape": list(arr.shape), "data": [float(x) for x in arr.ravel()]}
-    return {"format": "hyperexpand-params-v1", "tensors": tensors}
-
-
-def load_parameters(model: GinModel, dump: dict) -> None:
-    if dump.get("format") != "hyperexpand-params-v1":
-        raise ValueError("not a parameter dump")
-    tensors = dump["tensors"]
-    for name, arr in named_parameters(model):
-        entry = tensors[name]
-        vals = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        arr[...] = vals

@@ -50,9 +50,6 @@ class Graph:
                 a[u, v] = 1.0
         return a
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
 
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from an edge list.
@@ -254,12 +251,3 @@ def petersen_graph() -> Graph:
         edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
         edges.append((i, 5 + i))              # spokes
     return build_graph(10, edges)
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    edges = []
-    offset = 0
-    for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
-        offset += g.n
-    return build_graph(offset, edges)

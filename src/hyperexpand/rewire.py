@@ -61,10 +61,6 @@ class RewiredInstance:
         """Original edges on the augmented node set; hyperedge nodes isolated."""
         return build_graph(self.total_nodes, self.original.edges())
 
-    def expander_view(self) -> Graph:
-        """Expander edges on the augmented node set (left v -- n + right)."""
-        return self.expander.to_graph()
-
     def to_dict(self) -> dict:
         return {
             "format": REWIRED_FORMAT,

@@ -66,11 +66,3 @@ class SplitMix64:
             j = self.next_below(i + 1)
             perm[i], perm[j] = perm[j], perm[i]
         return perm
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def choice(self, n: int) -> int:
-        return self.next_below(n)

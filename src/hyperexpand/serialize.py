@@ -119,27 +119,31 @@ def edgelist_dumps(g: Graph) -> str:
 
 
 def _header_n(text: str) -> int | None:
-    """Pull n from a leading "# n=<int>" comment, if one precedes the edges."""
+    """n from a "# n=<int>" header, if one precedes the edges.
+
+    A header is a comment line that, with whitespace removed, starts with
+    "#n="; other comments are skipped. A value that is not an integer is
+    a ValueError naming n.
+    """
     for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("#") and "n=" in line.replace(" ", ""):
+        line = "".join(raw.split())
+        if line.startswith("#n="):
             try:
-                return int(line.replace(" ", "").split("n=", 1)[1])
+                return int(line[3:])
             except ValueError:
-                return None
+                raise ValueError(f"malformed field 'n' in edge-list header {raw.strip()!r}") from None
         if line and not line.startswith("#"):
             return None
     return None
 
 
-def edgelist_loads(text: str, n: int | None = None) -> Graph:
+def edgelist_loads(text: str) -> Graph:
     """Parse `u v` lines; other '#' comments ignored.
 
-    Vertex count comes from the n argument, else a "# n=" header line,
-    else the largest endpoint seen.
+    Vertex count comes from a "# n=" header line, else the largest
+    endpoint seen.
     """
-    if n is None:
-        n = _header_n(text)
+    n = _header_n(text)
     edges: list[tuple[int, int]] = []
     max_id = -1
     for raw in text.splitlines():

@@ -1,11 +1,9 @@
 from __future__ import annotations
 
 import json
-import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -26,6 +24,8 @@ from hyperexpand.serialize import (
     load_graph_file,
 )
 from hyperexpand.spectral import MAX_DENSE_N
+
+from helpers import child_env
 
 
 def write_graph(tmp_path, name, g):
@@ -48,11 +48,6 @@ def no_eigensolve(monkeypatch):
 def run_module(argv, address_space=None):
     """Run `python -m hyperexpand argv` in a child process that finds this
     source tree; address_space caps the child's memory in bytes."""
-    import hyperexpand
-
-    src = str(Path(hyperexpand.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def cap():
         if address_space is not None:
@@ -62,7 +57,7 @@ def run_module(argv, address_space=None):
         [sys.executable, "-m", "hyperexpand", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         preexec_fn=cap,
         timeout=120,
     )
@@ -197,6 +192,12 @@ class TestAnalyze:
         )
         assert code == EXIT_OK
         assert json.loads(out.read_text())["config"]["method"] == "jacobi"
+
+    def test_non_integer_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.edges"
+        path.write_text("# n=abc\n0 1\n")
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "'n'" in capsys.readouterr().err
 
     def test_above_dense_cap_exits_1(self, tmp_path, capsys):
         path = tmp_path / "huge.edges"

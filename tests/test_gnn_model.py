@@ -8,16 +8,15 @@ from hyperexpand.gnn.layers import (
     Affine,
     GinLayerParams,
     HyperedgeMode,
-    expander_layer_forward,
-    gin_layer_forward,
+    _gin_mlp_forward,
+    expander_forward,
+    gin_forward,
 )
 from hyperexpand.gnn.model import (
     build_model,
-    forward,
-    load_parameters,
+    forward_batch,
     loss_and_gradients,
     named_parameters,
-    parameters_to_dict,
     softmax_cross_entropy,
     zero_gradients,
 )
@@ -33,6 +32,26 @@ def identity_gin(d):
 
 def tree_depth1():
     return build_graph(3, [(0, 1), (0, 2)])
+
+
+def plain_logits(model, g, h):
+    """Logits of one plain graph, run as a batch of one."""
+    logits, _ = forward_batch(model, h[None], g.adjacency_matrix())
+    return logits[0]
+
+
+def padded_features(inst, feats):
+    """(1, 2n, d) features: the original rows, then zero hyperedge rows."""
+    padded = np.zeros((1, inst.total_nodes, feats.shape[1]))
+    padded[0, : inst.original.n] = feats
+    return padded
+
+
+def rewired_logits(model, inst, feats):
+    """Logits of one rewired instance, run as a batch of one."""
+    adj = inst.original_view().adjacency_matrix()
+    logits, _ = forward_batch(model, padded_features(inst, feats), adj, inst.expander.biadjacency())
+    return logits[0]
 
 
 class TestBuildModel:
@@ -86,15 +105,15 @@ class TestForwardPlain:
         g = path_graph(3)
         model = build_model(2, 4, 3, (LayerKind.ORIGINAL,), seed=5)
         h = np.array([[0.3, -0.2], [1.0, 0.5], [-0.4, 0.8]])
-        logits = forward(model, g, h)
-        manual = gin_layer_forward(h, g, model.layers[0])
-        want = manual[0] @ model.head.w + model.head.b
+        logits = plain_logits(model, g, h)
+        manual, _ = gin_forward(h[None], g.adjacency_matrix(), model.layers[0])
+        want = manual[0, 0] @ model.head.w + model.head.b
         assert np.max(np.abs(logits - want)) <= 1e-12
 
     def test_zero_input_zero_biases_zero_logits(self):
         model = build_model(4, 6, 3, (LayerKind.ORIGINAL,) * 2, seed=0)
         # built biases are all zero already
-        logits = forward(model, cycle_graph(5), np.zeros((5, 4)))
+        logits = plain_logits(model, cycle_graph(5), np.zeros((5, 4)))
         assert np.array_equal(logits, np.zeros(3))
 
     def test_depth1_tree_identity_hand_check(self):
@@ -104,25 +123,16 @@ class TestForwardPlain:
         model.layers = [identity_gin(2), identity_gin(2)]
         model.head = Affine(w=np.eye(2), b=np.zeros(2))
         h = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        logits = forward(model, tree_depth1(), h)
+        logits = plain_logits(model, tree_depth1(), h)
         assert logits.tolist() == [5.0, 4.0]
         a_plus_i = tree_depth1().adjacency_matrix() + np.eye(3)
         assert np.array_equal(logits, (a_plus_i @ (a_plus_i @ h))[0])
 
     def test_plain_graph_rejects_expander_schedule(self):
         model = build_model(4, 4, 2, layer_schedule(2))
+        adj = cycle_graph(4).adjacency_matrix()
         with pytest.raises(ValueError, match="EXPANDER"):
-            forward(model, cycle_graph(4), np.zeros((4, 4)))
-
-    def test_feature_shape_checked(self):
-        model = build_model(4, 4, 2, (LayerKind.ORIGINAL,))
-        with pytest.raises(ValueError, match="expected features"):
-            forward(model, cycle_graph(4), np.zeros((4, 3)))
-
-    def test_rejects_unknown_instance(self):
-        model = build_model(4, 4, 2, (LayerKind.ORIGINAL,))
-        with pytest.raises(TypeError):
-            forward(model, "not a graph", np.zeros((4, 4)))
+            forward_batch(model, np.zeros((1, 4, 4)), adj, biadj=None)
 
 
 class TestForwardRewired:
@@ -135,12 +145,11 @@ class TestForwardRewired:
         feats = np.array(
             [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]]
         )
-        logits = forward(model, inst, feats)
-        padded = np.zeros((8, 3))
-        padded[:4] = feats
-        h1 = gin_layer_forward(padded, inst.original_view(), model.layers[0])
-        h2 = expander_layer_forward(h1, inst.expander, model.layers[1])
-        want = h2[0] @ model.head.w + model.head.b
+        logits = rewired_logits(model, inst, feats)
+        adj = inst.original_view().adjacency_matrix()
+        h1, _ = gin_forward(padded_features(inst, feats), adj, model.layers[0])
+        h2, _ = expander_forward(h1, inst.expander.biadjacency(), model.layers[1])
+        want = h2[0, 0] @ model.head.w + model.head.b
         assert np.max(np.abs(logits - want)) <= 1e-12
 
     def test_hyperedge_rows_start_at_zero(self, inst):
@@ -148,9 +157,26 @@ class TestForwardRewired:
         # zero biases the left block behaves as if they were absent
         model = build_model(3, 3, 2, (LayerKind.ORIGINAL, LayerKind.ORIGINAL), seed=9)
         feats = np.arange(12, dtype=np.float64).reshape(4, 3)
-        logits_rewired = forward(model, inst, feats)
-        logits_plain = forward(model, cycle_graph(4), feats)
+        logits_rewired = rewired_logits(model, inst, feats)
+        logits_plain = plain_logits(model, cycle_graph(4), feats)
         assert np.max(np.abs(logits_rewired - logits_plain)) <= 1e-12
+
+    def test_original_layer_runs_mlp_on_hyperedge_rows(self, inst):
+        # hyperedge rows are isolated in the augmented adjacency, so an
+        # ORIGINAL layer after an expander layer maps them through its MLP
+        # with zero aggregation; the next LEARNED expander layer reads that
+        model = build_model(3, 8, 2, layer_schedule(3), mode=HyperedgeMode.LEARNED, seed=9)
+        feats = np.arange(12, dtype=np.float64).reshape(4, 3) / 10.0
+        adj = inst.original_view().adjacency_matrix()
+        biadj = inst.expander.biadjacency()
+        h1, _ = gin_forward(padded_features(inst, feats), adj, model.layers[0])
+        h2, _ = expander_forward(h1, biadj, model.layers[1])
+        h3, _ = gin_forward(h2, adj, model.layers[2])
+        h_right = h2[:, 4:]
+        want, _ = _gin_mlp_forward(h_right, 0.0, model.layers[2])
+        assert np.max(np.abs(h_right)) > 0.0
+        assert not np.allclose(h3[:, 4:], h_right)
+        assert np.max(np.abs(h3[:, 4:] - want)) <= 1e-12
 
 
 class TestSoftmaxCrossEntropy:
@@ -190,34 +216,3 @@ class TestLossAndGradients:
             arr -= 0.1 * grads[name]
         loss1, _, _ = loss_and_gradients(model, feats, targets, adj)
         assert loss1 < loss0
-
-
-class TestParameterDump:
-    def test_round_trip(self):
-        a = build_model(3, 5, 4, layer_schedule(3), seed=1)
-        b = build_model(3, 5, 4, layer_schedule(3), seed=2)
-        dump = parameters_to_dict(a)
-        assert dump["format"] == "hyperexpand-params-v1"
-        load_parameters(b, dump)
-        for (na, pa), (nb, pb) in zip(named_parameters(a), named_parameters(b)):
-            assert na == nb
-            assert np.array_equal(pa, pb)
-
-    def test_dump_shapes_recorded(self):
-        model = build_model(3, 5, 4, (LayerKind.ORIGINAL,), seed=1)
-        dump = parameters_to_dict(model)
-        assert dump["tensors"]["layers.0.w1"]["shape"] == [3, 5]
-        assert dump["tensors"]["layers.0.epsilon"]["shape"] == []
-
-    def test_rejects_wrong_format(self):
-        model = build_model(3, 5, 4, (LayerKind.ORIGINAL,))
-        with pytest.raises(ValueError, match="parameter dump"):
-            load_parameters(model, {"format": "nope", "tensors": {}})
-
-    def test_json_serializable(self):
-        import json
-
-        model = build_model(3, 4, 2, layer_schedule(2), mode=HyperedgeMode.LEARNED)
-        text = json.dumps(parameters_to_dict(model))
-        back = json.loads(text)
-        load_parameters(model, back)

@@ -16,13 +16,14 @@ from hyperexpand.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     is_connected,
     is_k_regular,
     make_bipartite_expander,
     path_graph,
     petersen_graph,
 )
+
+from helpers import disjoint_union
 
 
 def floyd_warshall_diameter(g):
@@ -76,11 +77,6 @@ class TestBuildGraph:
     def test_empty_graph(self):
         g = build_graph(0, [])
         assert g.n == 0 and g.edge_count == 0
-
-    def test_has_edge(self):
-        g = build_graph(3, [(0, 2)])
-        assert g.has_edge(0, 2) and g.has_edge(2, 0)
-        assert not g.has_edge(0, 1)
 
     def test_adjacency_matrix_symmetric(self):
         g = cycle_graph(5)

@@ -18,7 +18,6 @@ from hyperexpand.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     petersen_graph,
 )
 from hyperexpand.oracle import (
@@ -34,6 +33,8 @@ from hyperexpand.oracle import (
 from hyperexpand.rng import SplitMix64
 from hyperexpand.serialize import dumps_canonical
 from hyperexpand.spectral import NotRegularError, expander_constant_lower_bound
+
+from helpers import disjoint_union
 
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_golden.json"
 

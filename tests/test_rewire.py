@@ -51,20 +51,20 @@ class TestAugment:
         inst = augment(g, GeneratorConfig(n=2, k=2, seed=0))
         assert inst.total_nodes == 4
         # the only 2-regular 2+2 bipartite graph is a 4-cycle
-        view = inst.expander_view()
+        view = inst.expander.to_graph()
         assert sorted(view.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_c4_k3_left_degrees(self):
         inst = augment(cycle_graph(4), GeneratorConfig(n=4, k=3, seed=5))
         assert inst.expander.k == 3
-        degrees = inst.expander_view().degrees()
+        degrees = inst.expander.to_graph().degrees()
         assert all(d == 3 for d in degrees)
         assert inst.expander.matchings == ((2, 1, 3, 0), (0, 2, 1, 3), (1, 3, 0, 2))
 
     def test_n1(self):
         inst = augment(build_graph(1, []), GeneratorConfig(n=1, k=1))
         assert inst.total_nodes == 2
-        assert inst.expander_view().edges() == [(0, 1)]
+        assert inst.expander.to_graph().edges() == [(0, 1)]
 
     def test_cfg_n_overridden(self):
         g = path_graph(5)
@@ -82,7 +82,7 @@ class TestAugment:
         inst = augment(cycle_graph(8), GeneratorConfig(n=8, k=3, seed=0), ramanujan=True)
         from hyperexpand.spectral import analyze
 
-        rep = analyze(inst.expander_view())
+        rep = analyze(inst.expander.to_graph())
         assert rep.ramanujan is True
 
     def test_num_layers_parameter(self):
@@ -121,7 +121,7 @@ class TestRewiredInstance:
         assert sorted(view.edges()) == sorted(cycle_graph(4).edges())
 
     def test_expander_view_covers_both_sides(self, inst):
-        view = inst.expander_view()
+        view = inst.expander.to_graph()
         assert view.n == 8
         assert all(u < 4 <= v for u, v in view.edges())
 
@@ -191,7 +191,7 @@ class TestReachability:
         for seed in (0, 1):
             cfg = GeneratorConfig(n=n, k=min(3, n), seed=seed)
             inst = augment(build_graph(n, []), cfg)
-            bip = inst.expander_view()
+            bip = inst.expander.to_graph()
             assert is_connected(bip)
             diam = bfs_diameter(bip)
             rounds = (diam + 1) // 2

@@ -80,11 +80,3 @@ def test_permutation_uniform_over_small_n():
     assert len(counts) == 6
     for c in counts.values():
         assert abs(c - 1000) < 120
-
-
-def test_choice_and_shuffle():
-    r = SplitMix64(11)
-    assert all(0 <= r.choice(4) < 4 for _ in range(100))
-    items = list(range(10))
-    r.shuffle(items)
-    assert sorted(items) == list(range(10))

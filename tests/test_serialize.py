@@ -136,6 +136,15 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             edgelist_loads("0 1 2\n")
 
+    def test_rejects_non_integer_header(self):
+        with pytest.raises(ValueError, match="'n'"):
+            edgelist_loads("# n=abc\n0 1\n")
+
+    def test_other_comments_are_not_headers(self):
+        g = edgelist_loads("# generation=7\n0 1\n1 2\n2 0\n")
+        assert g.n == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
+        assert edgelist_loads("# generation=7\n#  n = 5\n0 1\n").n == 5
+
 
 class TestLoadGraphFile:
     def test_loads_graph_json(self, tmp_path):

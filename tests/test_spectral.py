@@ -15,7 +15,6 @@ from hyperexpand.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     path_graph,
     petersen_graph,
 )
@@ -33,6 +32,8 @@ from hyperexpand.spectral import (
     jacobi_eigenvalues,
     nontrivial_lambda,
 )
+
+from helpers import disjoint_union
 
 TOL = 1e-8
 
