@@ -5,13 +5,20 @@ size n; overlaying k pairwise edge-disjoint matchings gives a k-regular
 bipartite graph. Disjointness is enforced by resampling only the matching
 that collides. Optional rejection sampling keeps drawing whole graphs
 until the spectral Ramanujan test accepts one.
+
+Construction stays in the matchings' own form: the accepted permutations
+fill a (k, n) array, a collision is one array compare against its rows,
+and validation and the connectivity check run on that array; no derived
+2n-vertex Graph is built until a caller asks for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import MAX_VERTICES, BipartiteExpander, is_connected, make_bipartite_expander
+import numpy as np
+
+from .graphs import MAX_VERTICES, BipartiteExpander, make_bipartite_expander
 from .rng import SplitMix64, derive_seed
 from .spectral import (
     DEFAULT_TOLERANCE,
@@ -89,28 +96,26 @@ def random_perfect_matching(n: int, rng: SplitMix64) -> tuple[int, ...]:
     return tuple(rng.permutation(n))
 
 
-def _collides(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    return any(a == b for a, b in zip(p, q))
-
-
-def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> tuple[tuple[int, ...], ...]:
-    matchings: list[tuple[int, ...]] = []
-    retries = 0
-    while len(matchings) < cfg.k:
-        p = random_perfect_matching(cfg.n, rng)
-        if any(_collides(p, q) for q in matchings):
+def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> np.ndarray:
+    """k pairwise edge-disjoint matchings as the rows of a (k, n) array."""
+    matchings = np.empty((cfg.k, cfg.n), dtype=np.int64)
+    accepted = retries = 0
+    while accepted < cfg.k:
+        p = np.fromiter(random_perfect_matching(cfg.n, rng), np.int64, cfg.n)
+        if (matchings[:accepted] == p).any():
             retries += 1
             if retries > cfg.max_matching_retries:
                 raise RetryBudgetExhausted(
                     "matching",
                     retries,
                     f"no {cfg.k} disjoint matchings after {retries} resamples "
-                    f"(budget {cfg.max_matching_retries}); had {len(matchings)} so far",
+                    f"(budget {cfg.max_matching_retries}); had {accepted} so far",
                     matching_retries=retries,
                 )
             continue
-        matchings.append(p)
-    return tuple(matchings)
+        matchings[accepted] = p
+        accepted += 1
+    return matchings
 
 
 def k_regular_bipartite(cfg: GeneratorConfig) -> BipartiteExpander:
@@ -126,9 +131,7 @@ def k_regular_bipartite(cfg: GeneratorConfig) -> BipartiteExpander:
         rng = SplitMix64(derive_seed(cfg.seed, redraws))
         matchings = _draw_disjoint_matchings(cfg, rng)
         expander = make_bipartite_expander(cfg.n, cfg.n, cfg.k, matchings)
-        if not cfg.connectivity_required:
-            return expander
-        if is_connected(expander.to_graph()):
+        if not cfg.connectivity_required or expander.is_connected():
             return expander
         redraws += 1
         if redraws > cfg.max_matching_retries:

@@ -7,9 +7,11 @@ downstream computation is deterministic given a seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -163,13 +165,45 @@ class BipartiteExpander:
     k: int
     matchings: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _perms(self) -> tuple[np.ndarray, np.ndarray]:
+        """The matchings and their inverses as (k, n) index arrays."""
+        flat = itertools.chain.from_iterable(self.matchings)
+        m = np.fromiter(flat, np.intp, self.k * self.n_left).reshape(self.k, self.n_left)
+        inv = np.empty_like(m)
+        inv[np.arange(self.k)[:, None], m] = np.arange(self.n_left)
+        m.flags.writeable = inv.flags.writeable = False  # shared by every later call
+        return m, inv
+
     def to_graph(self) -> Graph:
-        edges = [
-            (l, self.n_left + m[l])
-            for m in self.matchings
-            for l in range(self.n_left)
-        ]
-        return build_graph(self.n_left + self.n_right, edges)
+        """The derived 2n-vertex graph, built straight from the matchings.
+
+        make_bipartite_expander has checked what build_graph would, so
+        nothing is re-validated. Column l of a column-wise sort of the
+        matchings (inverses) holds left (right) l's sorted neighbours.
+        """
+        m, inv = self._perms
+        left = np.sort(m, axis=0) + self.n_left
+        right = np.sort(inv, axis=0)
+        adjacency = tuple(zip(*left.tolist())) + tuple(zip(*right.tolist()))
+        return Graph(n=self.n_left + self.n_right, adjacency=adjacency, edge_count=self.k * self.n_left)
+
+    def is_connected(self) -> bool:
+        """Whether to_graph() is connected, without building it.
+
+        Breadth-first from left 0: each round marks the rights next to a
+        reached left (through the inverses), then the lefts next to those,
+        until no left is added. Every right has a left neighbour, so all
+        lefts reached means all vertices reached.
+        """
+        m, inv = self._perms
+        left = np.zeros(self.n_left, dtype=bool)
+        left[0] = True
+        reached = 0
+        while (now := int(np.count_nonzero(left))) > reached:
+            reached = now
+            left = left[inv].any(axis=0)[m].any(axis=0)
+        return reached == self.n_left
 
     def biadjacency(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_right, n_left)."""
@@ -180,10 +214,34 @@ class BipartiteExpander:
         return b
 
 
+def _permutation_rows(rows: list[np.ndarray], n: int) -> np.ndarray:
+    """The rows as a (k, n) int64 array, each checked to be a permutation
+    of 0..n-1; the first that is not (wrong length, not integers, out of
+    range or repeated ids) is named in a GraphError."""
+    fit = next(
+        (i for i, r in enumerate(rows) if r.shape != (n,) or r.dtype.kind not in "iu"),
+        len(rows),
+    )
+    a = np.array(rows[:fit], dtype=np.int64).reshape(fit, n)  # ids past int64 wrap out of range
+    bad = np.flatnonzero((np.sort(a, axis=1) != np.arange(n)).any(axis=1))
+    first = int(bad[0]) if bad.size else fit
+    if first < len(rows):
+        raise GraphError(f"matching {first} is not a permutation of 0..{n - 1}")
+    return a
+
+
 def make_bipartite_expander(
     n_left: int, n_right: int, k: int, matchings
 ) -> BipartiteExpander:
-    """Validate and freeze a matching-union bipartite graph."""
+    """Validate and freeze a matching-union bipartite graph.
+
+    matchings is k rows (sequences or a (k, n) integer array); each must
+    be a permutation of 0..n-1, and no two may join the same left to the
+    same right. The checks are whole-array: a row-wise sort against
+    arange, then a column-wise sort whose equal neighbours are shared
+    edges. Errors name the first offending matching, or the first
+    (i, j, l) in index order.
+    """
     if n_left != n_right:
         raise GraphError(
             f"perfect matchings need equal sides, got {n_left} vs {n_right}"
@@ -194,19 +252,18 @@ def make_bipartite_expander(
         )
     if not (1 <= k <= n_left):
         raise GraphError(f"regularity k={k} must satisfy 1 <= k <= n={n_left}")
-    ms = tuple(tuple(m) for m in matchings)
-    if len(ms) != k:
-        raise GraphError(f"expected {k} matchings, got {len(ms)}")
-    for i, m in enumerate(ms):
-        if sorted(m) != list(range(n_left)):
-            raise GraphError(f"matching {i} is not a permutation of 0..{n_left - 1}")
-    for i in range(k):
-        for j in range(i + 1, k):
-            for l in range(n_left):
-                if ms[i][l] == ms[j][l]:
-                    raise GraphError(
-                        f"matchings {i} and {j} share edge ({l}, {ms[i][l]})"
-                    )
+    rows = [np.asarray(m) for m in matchings]
+    if len(rows) != k:
+        raise GraphError(f"expected {k} matchings, got {len(rows)}")
+    a = _permutation_rows(rows, n_left)
+    shared = np.flatnonzero((np.diff(np.sort(a, axis=0), axis=0) == 0).any(axis=0))
+    if shared.size:
+        for i, j in itertools.combinations(range(k), 2):
+            hit = np.flatnonzero(a[i, shared] == a[j, shared])
+            if hit.size:
+                l = int(shared[hit[0]])
+                raise GraphError(f"matchings {i} and {j} share edge ({l}, {a[i, l]})")
+    ms = tuple(map(tuple, a.tolist()))
     return BipartiteExpander(n_left=n_left, n_right=n_right, k=k, matchings=ms)
 
 

@@ -118,37 +118,30 @@ def edgelist_dumps(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _header_n(text: str) -> int | None:
-    """n from a "# n=<int>" header, if one precedes the edges.
-
-    A header is a comment line that, with whitespace removed, starts with
-    "#n="; other comments are skipped. A value that is not an integer is
-    a ValueError naming n.
-    """
-    for raw in text.splitlines():
-        line = "".join(raw.split())
-        if line.startswith("#n="):
-            try:
-                return int(line[3:])
-            except ValueError:
-                raise ValueError(f"malformed field 'n' in edge-list header {raw.strip()!r}") from None
-        if line and not line.startswith("#"):
-            return None
-    return None
-
-
 def edgelist_loads(text: str) -> Graph:
     """Parse `u v` lines; other '#' comments ignored.
 
-    Vertex count comes from a "# n=" header line, else the largest
-    endpoint seen.
+    Vertex count comes from a "# n=" header, else the largest endpoint
+    seen. A header is a comment line that, with whitespace removed, starts
+    with "#n="; the first one counts, and one after an edge line is a
+    ValueError naming n rather than a count silently dropped.
     """
-    n = _header_n(text)
+    n = None
     edges: list[tuple[int, int]] = []
     max_id = -1
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            key = "".join(line.split())
+            if key.startswith("#n=") and edges:
+                raise ValueError(f"malformed field 'n': edge-list header {line!r} follows an edge line")
+            if key.startswith("#n=") and n is None:
+                try:
+                    n = int(key[3:])
+                except ValueError:
+                    raise ValueError(f"malformed field 'n' in edge-list header {line!r}") from None
             continue
         parts = line.split()
         if len(parts) != 2:

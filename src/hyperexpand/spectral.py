@@ -6,7 +6,8 @@ zeros, read from the singular values of the |L| x |R| biadjacency block B;
 any other graph gets a dense symmetric eigensolve of A. A cyclic Jacobi
 rotation solver on the full matrix is kept as an independent reference
 route; tests cross-check the routes against each other and against
-analytic spectra. Every route is dense and capped at MAX_DENSE_N vertices.
+analytic spectra. Every route is dense and capped at MAX_DENSE_N vertices,
+the slow Jacobi route at MAX_JACOBI_N.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .graphs import Graph, bipartition, is_k_regular
 DEFAULT_TOLERANCE = 1e-8
 # Largest vertex count any route densifies: an 8192^2 float64 matrix is 512 MiB.
 MAX_DENSE_N = 8192
+# Largest vertex count the Jacobi route takes. Its Python rotation loop is
+# O(n^3) per sweep: on a 2-vCPU VM a 4-regular graph takes 1.1 s at 128
+# vertices and 5.7 s at 256, and did not finish in minutes at 1000.
+MAX_JACOBI_N = 512
 _JACOBI_MAX_SWEEPS = 60
 
 
@@ -133,7 +138,8 @@ def adjacency_eigenvalues(
     biadjacency block when bipartition(g) finds a two-colouring, so the
     n x n matrix is never built, and a dense symmetric eigensolve of the
     full matrix otherwise; both are backward stable, each eigenvalue within
-    O(eps * max degree).  Raises ValueError above MAX_DENSE_N vertices.
+    O(eps * max degree).  Raises ValueError above MAX_DENSE_N vertices, and
+    for jacobi above MAX_JACOBI_N.
     """
     if g.n < 1:
         raise ValueError("eigenvalues need n >= 1")
@@ -145,6 +151,11 @@ def adjacency_eigenvalues(
             f"MAX_DENSE_N={MAX_DENSE_N}"
         )
     if method == "jacobi":
+        if g.n > MAX_JACOBI_N:
+            raise ValueError(
+                f"graph has n={g.n} vertices; the Jacobi route is capped at "
+                f"MAX_JACOBI_N={MAX_JACOBI_N}"
+            )
         return jacobi_eigenvalues(g.adjacency_matrix(), tolerance)
     side = bipartition(g)
     try:

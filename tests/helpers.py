@@ -6,7 +6,7 @@ import os
 from pathlib import Path
 
 import hyperexpand
-from hyperexpand.graphs import Graph, build_graph
+from hyperexpand.graphs import BipartiteExpander, Graph, build_graph
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -17,6 +17,29 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return build_graph(offset, edges)
+
+
+def to_graph_by_edges(b: BipartiteExpander) -> Graph:
+    """The derived graph built edge by edge through build_graph's checks:
+    the reference for the matching-native BipartiteExpander.to_graph."""
+    edges = [(l, b.n_left + m[l]) for m in b.matchings for l in range(b.n_left)]
+    return build_graph(b.n_left + b.n_right, edges)
+
+
+def matching_error_by_loops(n: int, matchings) -> str | None:
+    """The message make_bipartite_expander gives for these k rows, found
+    by plain loops (per-row sort, then every pair and left vertex), or
+    None if they are k edge-disjoint permutations of 0..n-1."""
+    ms = [list(m) for m in matchings]
+    for i, m in enumerate(ms):
+        if sorted(m) != list(range(n)):
+            return f"matching {i} is not a permutation of 0..{n - 1}"
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            for l in range(n):
+                if ms[i][l] == ms[j][l]:
+                    return f"matchings {i} and {j} share edge ({l}, {ms[i][l]})"
+    return None
 
 
 def child_env() -> dict[str, str]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import resource
 import subprocess
@@ -23,7 +24,7 @@ from hyperexpand.serialize import (
     graph_to_dict,
     load_graph_file,
 )
-from hyperexpand.spectral import MAX_DENSE_N
+from hyperexpand.spectral import MAX_DENSE_N, MAX_JACOBI_N
 
 from helpers import child_env
 
@@ -157,6 +158,26 @@ class TestGenerate:
         assert json.loads(out.read_text())["result"]["total_nodes"] == 24
 
 
+class TestGoldenAboveBlockCut:
+    """Byte goldens at n=1000, where permutations come from numpy blocks
+    of SplitMix64 draws (the n=8 goldens above use the scalar loop)."""
+
+    GOLDEN = {
+        "g.json": "94fdaf2bb76525d3f555245e7cb35a27dd43949ca20f253d34e235a5c5b47c21",
+        "g.edges": "f2e50934d84a57ae5406504a2e088afe3bf00eaae40277c73ac0ce61284902ac",
+        "r.json": "e4927c397ec485e88a4d4d82044aefc1da246c95f3310bbef66dc328fd580759",
+    }
+
+    def test_generate_and_rewire_sha256(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # rewire records its --in path
+        gen = ["generate", "--n", "1000", "--k", "3", "--seed", "7"]
+        assert entry(gen + ["--out", "g.json"]) == EXIT_OK
+        assert entry(gen + ["--format", "edgelist", "--out", "g.edges"]) == EXIT_OK
+        assert entry(["rewire", "--in", "g.edges", "--k", "3", "--seed", "7", "--out", "r.json"]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert got == self.GOLDEN
+
+
 class TestAnalyze:
     def test_k33(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))
@@ -205,6 +226,19 @@ class TestAnalyze:
         assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"n={MAX_DENSE_N + 1}" in err and str(MAX_DENSE_N) in err
+
+    def test_above_jacobi_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "big.edges"
+        path.write_text(f"# n={MAX_JACOBI_N + 1}\n")
+        assert entry(["analyze", "--in", str(path), "--method", "jacobi"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"n={MAX_JACOBI_N + 1}" in err and str(MAX_JACOBI_N) in err
+
+    def test_late_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "late.edges"
+        path.write_text("0 1\n1 2\n2 0\n# n=5\n")
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "'n'" in capsys.readouterr().err
 
     def test_byte_identical_rerun(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))
@@ -292,6 +326,14 @@ class TestMalformedPayload:
         path.write_text(json.dumps(payload))
         assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
         assert "matchings" in capsys.readouterr().err
+
+    def test_ragged_matchings_exit_1_naming_the_matching(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        payload = {"format": "hyperexpand-bipartite-v1", "n_left": 3, "n_right": 3, "k": 2,
+                   "matchings": [[0, 1, 2], [1, 2]]}
+        path.write_text(json.dumps(payload))
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert "matching 1 is not a permutation" in capsys.readouterr().err
 
     def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

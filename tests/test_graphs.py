@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperexpand.graphs import (
     MAX_VERTICES,
@@ -23,7 +25,7 @@ from hyperexpand.graphs import (
     petersen_graph,
 )
 
-from helpers import disjoint_union
+from helpers import disjoint_union, matching_error_by_loops, to_graph_by_edges
 
 
 def floyd_warshall_diameter(g):
@@ -194,6 +196,95 @@ class TestBipartiteExpander:
     def test_rejects_k_out_of_range(self):
         with pytest.raises(GraphError):
             make_bipartite_expander(2, 2, 3, ((0, 1), (1, 0), (0, 1)))
+
+
+@st.composite
+def disjoint_matchings(draw, max_n=12):
+    """(n, k edge-disjoint permutations of 0..n-1 as lists): row s is
+    l -> sigma[(tau[l] + shift_s) % n] for k distinct shifts."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    sigma = draw(st.permutations(range(n)))
+    tau = draw(st.permutations(range(n)))
+    shifts = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return n, [[sigma[(tau[l] + s) % n] for l in range(n)] for s in shifts]
+
+
+@st.composite
+def damaged_matchings(draw):
+    """Disjoint matchings with up to three edits: an id set to a value in
+    or out of range, an id dropped or appended (ragged rows), or a swap
+    inside one row that copies another row's right at some left (a shared
+    edge between two permutations)."""
+    n, ms = draw(disjoint_matchings())
+    for _ in range(draw(st.integers(0, 3))):
+        row = ms[draw(st.integers(0, len(ms) - 1))]
+        kind = draw(st.sampled_from(["set", "drop", "append", "share"]))
+        if kind == "append":
+            row.append(draw(st.integers(-1, n)))
+        elif not row:
+            continue
+        elif kind == "set":
+            big = st.sampled_from([2**63, 2**70, -(2**70)])
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(st.integers(-2, n + 1), big))
+        elif kind == "drop":
+            row.pop(draw(st.integers(0, len(row) - 1)))
+        else:
+            other = ms[draw(st.integers(0, len(ms) - 1))]
+            l = draw(st.integers(0, min(len(row), len(other)) - 1)) if other else 0
+            if other and other[l] in row:
+                p = row.index(other[l])
+                row[l], row[p] = row[p], row[l]
+    return n, ms
+
+
+class TestMatchingNative:
+    """The whole-array checks and the matching-native graph against the
+    loop references in helpers.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_matchings())
+    def test_to_graph_equals_build_graph(self, case):
+        n, ms = case
+        b = make_bipartite_expander(n, n, len(ms), ms)
+        assert b.matchings == tuple(map(tuple, ms))
+        g = b.to_graph()
+        assert g == to_graph_by_edges(b)
+        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+        assert b.is_connected() == is_connected(g)
+
+    @settings(max_examples=400, deadline=None)
+    @given(damaged_matchings())
+    def test_validation_messages_match_loops(self, case):
+        n, ms = case
+        want = matching_error_by_loops(n, ms)
+        try:
+            make_bipartite_expander(n, n, len(ms), ms)
+            got = None
+        except GraphError as e:
+            got = str(e)
+        assert got == want
+
+    def test_array_input_gives_int_tuples(self):
+        b = make_bipartite_expander(3, 3, 2, np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint32))
+        assert b.matchings == ((0, 1, 2), (1, 2, 0))
+        assert all(type(v) is int for m in b.matchings for v in m)
+
+    def test_first_shared_edge_in_index_order(self):
+        ms = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 1, 0, 3), (0, 3, 1, 2))
+        with pytest.raises(GraphError, match=r"^matchings 0 and 2 share edge \(1, 1\)$"):
+            make_bipartite_expander(4, 4, 4, ms)
+
+    def test_ragged_row_named(self):
+        with pytest.raises(GraphError, match="^matching 1 is not a permutation of 0..2$"):
+            make_bipartite_expander(3, 3, 2, ((0, 1, 2), (1, 2)))
+
+    def test_disconnected_union(self):
+        # two 2-cycles: lefts {0, 1} and {2, 3} never meet
+        b = make_bipartite_expander(4, 4, 2, ((0, 1, 2, 3), (1, 0, 3, 2)))
+        assert b.is_connected() is False
+        assert is_connected(b.to_graph()) is False
+        assert make_bipartite_expander(1, 1, 1, ((0,),)).is_connected() is True
 
 
 def test_disjoint_union_relabels():

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from hyperexpand.rng import SplitMix64, derive_seed
+from hyperexpand.rng import _BLOCK_MIN_N, _GAMMA, _MASK, SplitMix64, derive_seed
 
 
 def test_known_stream_is_stable():
@@ -80,3 +81,48 @@ def test_permutation_uniform_over_small_n():
     assert len(counts) == 6
     for c in counts.values():
         assert abs(c - 1000) < 120
+
+
+def scalar_permutation(r: SplitMix64, n: int) -> list[int]:
+    """Fisher-Yates fed one next_below draw at a time: the reference."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = r.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+SIZES = [1, 2, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 63, 1000, 10**5]
+SEEDS = [0, 7, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_permutation_matches_scalar_path(n, seed):
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert block.permutation(n) == scalar_permutation(scalar, n)
+    assert block._state == scalar._state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", SIZES)
+def test_block_draws_match_next_below(n, seed):
+    # the block route itself, also below the size cut that permutation uses
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert block._below_block(bounds).tolist() == [scalar.next_below(int(b)) for b in bounds]
+    assert block._state == scalar._state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_draws_through_rejections(seed):
+    # Bounds just above 2^63 reject about half of all draws (x >= b), so
+    # the block stops, redraws through next_below, and resumes many times;
+    # bound 1 never rejects and 2^64 - 1 rejects only x = 2^64 - 1.
+    bounds = [2**63 + 7919 * i for i in range(300)] + [1, 2**64 - 1, 2**63 + 1, 3]
+    block, scalar = SplitMix64(seed), SplitMix64(seed)
+    got = block._below_block(np.array(bounds, dtype=np.uint64)).tolist()
+    assert got == [scalar.next_below(b) for b in bounds]
+    assert block._state == scalar._state
+    # rejected draws advanced the counter past one step per bound
+    assert block._state != (seed + len(bounds) * _GAMMA) & _MASK

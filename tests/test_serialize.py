@@ -3,8 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperexpand.graphs import cycle_graph, make_bipartite_expander, petersen_graph
+from hyperexpand.graphs import build_graph, cycle_graph, make_bipartite_expander, petersen_graph
 from hyperexpand.serialize import (
     bipartite_from_dict,
     bipartite_to_dict,
@@ -116,6 +118,14 @@ class TestMalformedFields:
             graph_from_dict([1, 2])
 
 
+@st.composite
+def simple_graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
 class TestEdgeList:
     def test_round_trip_with_header(self):
         g = cycle_graph(5)
@@ -144,6 +154,17 @@ class TestEdgeList:
         g = edgelist_loads("# generation=7\n0 1\n1 2\n2 0\n")
         assert g.n == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
         assert edgelist_loads("# generation=7\n#  n = 5\n0 1\n").n == 5
+
+    @pytest.mark.parametrize("text", ["0 1\n# n=5\n", "0 1\n# n=abc\n", "# n=3\n0 1\n#n=3\n"])
+    def test_rejects_header_after_an_edge(self, text):
+        with pytest.raises(ValueError, match="'n'"):
+            edgelist_loads(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs())
+    def test_round_trip_property(self, g):
+        # the header keeps isolated trailing vertices; edges come back sorted
+        assert edgelist_loads(edgelist_dumps(g)) == g
 
 
 class TestLoadGraphFile:

@@ -21,6 +21,7 @@ from hyperexpand.graphs import (
 from hyperexpand.oracle import verify_bounds
 from hyperexpand.spectral import (
     MAX_DENSE_N,
+    MAX_JACOBI_N,
     EigensolverError,
     NotRegularError,
     adjacency_eigenvalues,
@@ -181,6 +182,25 @@ class TestDenseCap:
             adjacency_eigenvalues(g, method=method)
         with pytest.raises(ValueError, match="MAX_DENSE_N"):
             analyze(g, method=method)
+
+
+class TestJacobiCap:
+    def test_cap_covers_verify_sizes(self):
+        assert 24 < MAX_JACOBI_N < MAX_DENSE_N
+
+    def test_above_cap_rejected_before_allocation(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense matrix built above the Jacobi cap")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+        g = build_graph(MAX_JACOBI_N + 1, [])
+        with pytest.raises(ValueError, match=f"n={MAX_JACOBI_N + 1}.*MAX_JACOBI_N={MAX_JACOBI_N}"):
+            adjacency_eigenvalues(g, method="jacobi")
+        with pytest.raises(ValueError, match="MAX_JACOBI_N"):
+            analyze(g, method="jacobi")
+
+    def test_lapack_route_not_capped_there(self):
+        assert analyze(cycle_graph(2 * MAX_JACOBI_N + 2)).k == 2
 
 
 class TestTolerance:
