@@ -3,6 +3,11 @@
 The model is a list of layer parameter blocks matched one-to-one with a
 layer-kind schedule, plus an affine classifier head that reads the root
 node's representation (Tree-NeighborsMatch is a node-level task).
+
+forward_batch, backward_batch and loss_and_gradients take an optional
+Workspace (see layers.py). Caches and layer outputs live in it and stay
+valid until the next pass through the same workspace; logits, losses and
+gradient dicts are always fresh.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .layers import (
     Affine,
     GinLayerParams,
     HyperedgeMode,
+    Workspace,
     expander_backward,
     expander_forward,
     gin_backward,
@@ -97,38 +103,57 @@ def forward_batch(
     feats: np.ndarray,
     adj_orig: np.ndarray,
     biadj: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ):
-    """feats (B, n, in_dim) -> (logits (B, C), caches for backward)."""
+    """feats (B, n, in_dim) -> (logits (B, C), caches for backward).
+
+    Layer i keeps its output and cache in ws under "layers.{i}."; they
+    stay valid until the next pass through the same workspace. The
+    logits are a fresh array.
+    """
+    if ws is None:
+        ws = Workspace()
     h = feats
     layer_caches = []
-    for kind, layer in zip(model.schedule, model.layers):
+    for i, (kind, layer) in enumerate(zip(model.schedule, model.layers)):
+        key = f"layers.{i}."
         if kind is LayerKind.ORIGINAL:
-            h, cache = gin_forward(h, adj_orig, layer)
+            h, cache = gin_forward(h, adj_orig, layer, ws, key)
         else:
             if biadj is None:
                 raise ValueError("schedule has EXPANDER layers but no expander was given")
-            h, cache = expander_forward(h, biadj, layer)
+            h, cache = expander_forward(h, biadj, layer, ws, key)
         layer_caches.append(cache)
     read = h[:, 0, :]
     logits = read @ model.head.w + model.head.b
     return logits, (layer_caches, read, h.shape)
 
 
-def backward_batch(model: GinModel, dlogits: np.ndarray, caches) -> dict[str, np.ndarray]:
+def backward_batch(
+    model: GinModel, dlogits: np.ndarray, caches, ws: Workspace | None = None
+) -> dict[str, np.ndarray]:
+    """Exact parameter gradients. The gradient flowing between layers
+    alternates between two workspace buffers; the one with respect to the
+    input features is not computed."""
+    if ws is None:
+        ws = Workspace()
     layer_caches, read, h_shape = caches
     grads = zero_gradients(model)
     grads["head.w"] += read.T @ dlogits
     grads["head.b"] += dlogits.sum(axis=0)
     dread = dlogits @ model.head.w.T
-    dh = np.zeros(h_shape)
+    count = len(model.layers)
+    dh = ws.take(f"dh.{count % 2}", h_shape)
+    dh.fill(0.0)
     dh[:, 0, :] = dread
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(count - 1, -1, -1):
         layer = model.layers[i]
         prefix = f"layers.{i}."
+        slot = f"dh.{i % 2}" if i else None
         if model.schedule[i] is LayerKind.ORIGINAL:
-            dh = gin_backward(dh, layer_caches[i], layer, grads, prefix)
+            dh = gin_backward(dh, layer_caches[i], layer, grads, prefix, ws, slot)
         else:
-            dh = expander_backward(dh, layer_caches[i], layer, grads, prefix)
+            dh = expander_backward(dh, layer_caches[i], layer, grads, prefix, ws, slot)
     return grads
 
 
@@ -154,10 +179,17 @@ def loss_and_gradients(
     targets: np.ndarray,
     adj_orig: np.ndarray,
     biadj: np.ndarray | None = None,
+    ws: Workspace | None = None,
 ):
-    """Mean cross-entropy loss, accuracy, and exact parameter gradients."""
-    logits, caches = forward_batch(model, feats, adj_orig, biadj)
+    """Mean cross-entropy loss, accuracy, and exact parameter gradients.
+
+    Training passes one workspace for the whole run, so every step reuses
+    the same activation and gradient buffers.
+    """
+    if ws is None:
+        ws = Workspace()
+    logits, caches = forward_batch(model, feats, adj_orig, biadj, ws)
     loss, dlogits, _ = softmax_cross_entropy(logits, targets)
     accuracy = float((logits.argmax(axis=1) == targets).mean())
-    grads = backward_batch(model, dlogits, caches)
+    grads = backward_batch(model, dlogits, caches, ws)
     return loss, accuracy, grads

@@ -16,12 +16,16 @@ from ..construct import GeneratorConfig, k_regular_bipartite
 from ..graphs import Graph
 from ..rewire import LayerKind, layer_schedule
 from ..rng import SplitMix64, derive_seed
-from .layers import HyperedgeMode
+from .layers import HyperedgeMode, Workspace
 from .model import GinModel, build_model, loss_and_gradients, named_parameters
-from .treematch import make_dataset, tree_graph
+from .treematch import MAX_DEPTH, make_dataset, tree_graph
 
 DATA_STREAM = 0x64617461
 EXPANDER_STREAM = 0x657870
+
+# TrainConfig rejects a run whose estimated working set exceeds this many
+# bytes, before anything is allocated (see _working_set_floats).
+MAX_TRAIN_BYTES = 2 * 1024**3
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,6 +60,41 @@ class TrainConfig:
             raise ValueError("expander_k must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(f"depth must be in 1..{MAX_DEPTH}, got {self.depth}")
+        per_sample, fixed = _working_set_floats(self)
+        limit = MAX_TRAIN_BYTES // 8
+        where = f"at depth {self.depth}, num_layers {self.num_layers}, hidden_dim {self.hidden_dim}"
+        limit_text = f"the training memory limit MAX_TRAIN_BYTES = {MAX_TRAIN_BYTES} bytes"
+        if fixed + per_sample > limit:
+            raise ValueError(f"num_layers and hidden_dim exceed {limit_text} for a single sample {where}")
+        most = (limit - fixed) // per_sample
+        if self.dataset_size > most:
+            raise ValueError(
+                f"dataset_size must be <= {most} to stay within {limit_text} {where}, "
+                f"got {self.dataset_size}"
+            )
+
+
+def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
+    """(float64s per dataset sample, float64s independent of the dataset).
+
+    The final evaluation runs the whole dataset as one batch, so the
+    training workspace grows with the dataset. Per sample, over its rows:
+    the padded features, two unpadded copies while they are built, three
+    workspace arrays of the input width and 3 * num_layers + 3 of the
+    hidden width; plus the n x n expander overlay. Fixed: at most two GIN
+    MLPs per layer, each weight with its gradient and optimizer arrays.
+    """
+    n = 2 ** (cfg.depth + 1) - 1
+    in_dim = 2 ** (cfg.depth + 1) + 1
+    rows = 2 * n if cfg.rewire else n
+    hidden, layers = cfg.hidden_dim, cfg.num_layers
+    per_sample = in_dim * (4 * rows + 2 * n) + rows * hidden * (3 * layers + 3)
+    if cfg.rewire:
+        per_sample += n * n
+    fixed = 12 * layers * (in_dim + hidden) * hidden
+    return per_sample, fixed
 
 
 @dataclass
@@ -112,31 +151,48 @@ def _slice(batch: _Batch, lo: int, hi: int) -> _Batch:
 
 
 class _Optimizer:
+    """SGD or Adam, updating parameters, moments and scratch in place.
+
+    Each update runs the ops of the plain expressions in their order,
+    e.g. Adam's m = b1 * m + (1 - b1) * g, with out= into arrays that
+    persist across steps.
+    """
+
     def __init__(self, cfg: TrainConfig, model: GinModel):
         self.lr = cfg.learning_rate
         self.kind = cfg.optimizer
         self.t = 0
+        params = named_parameters(model)
+        self.upd = {n: np.zeros_like(a) for n, a in params}
         if self.kind == "adam":
-            self.m = {n: np.zeros_like(a) for n, a in named_parameters(model)}
-            self.v = {n: np.zeros_like(a) for n, a in named_parameters(model)}
+            self.m = {n: np.zeros_like(a) for n, a in params}
+            self.v = {n: np.zeros_like(a) for n, a in params}
+            self.den = {n: np.zeros_like(a) for n, a in params}
 
     def step(self, model: GinModel, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         for name, arr in named_parameters(model):
-            g = grads[name]
+            g, upd = grads[name], self.upd[name]
             if self.kind == "sgd":
-                arr -= self.lr * g
-            else:
-                b1, b2, eps = 0.9, 0.999, 1e-8
-                self.m[name] = b1 * self.m[name] + (1 - b1) * g
-                self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-                mhat = self.m[name] / (1 - b1**self.t)
-                vhat = self.v[name] / (1 - b2**self.t)
-                arr -= self.lr * mhat / (np.sqrt(vhat) + eps)
+                arr -= np.multiply(self.lr, g, out=upd)
+                continue
+            b1, b2, eps = 0.9, 0.999, 1e-8
+            m, v, den = self.m[name], self.v[name], self.den[name]
+            np.multiply(b1, m, out=m)
+            m += np.multiply(1 - b1, g, out=upd)
+            np.multiply(b2, v, out=v)
+            np.multiply(1 - b2, g, out=upd)
+            v += np.multiply(upd, g, out=upd)
+            np.divide(m, 1 - b1**self.t, out=upd)  # mhat
+            np.divide(v, 1 - b2**self.t, out=den)  # vhat
+            np.multiply(self.lr, upd, out=upd)
+            np.sqrt(den, out=den)
+            np.add(den, eps, out=den)
+            arr -= np.divide(upd, den, out=upd)
 
 
-def _evaluate(model: GinModel, batch: _Batch) -> tuple[float, float]:
-    loss, acc, _ = loss_and_gradients(model, batch.feats, batch.targets, batch.adj_orig, batch.biadj)
+def _evaluate(model: GinModel, batch: _Batch, ws: Workspace) -> tuple[float, float]:
+    loss, acc, _ = loss_and_gradients(model, batch.feats, batch.targets, batch.adj_orig, batch.biadj, ws)
     return loss, acc
 
 
@@ -161,6 +217,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         seed=cfg.seed,
     )
     opt = _Optimizer(cfg, model)
+    ws = Workspace()
     size = data.feats.shape[0]
     step = size if cfg.batch_size <= 0 else min(cfg.batch_size, size)
     losses: list[float] = []
@@ -173,7 +230,7 @@ def train(cfg: TrainConfig) -> TrainResult:
                 part = _slice(data, lo, lo + step)
                 count = part.feats.shape[0]
                 loss, acc, grads = loss_and_gradients(
-                    model, part.feats, part.targets, part.adj_orig, part.biadj
+                    model, part.feats, part.targets, part.adj_orig, part.biadj, ws
                 )
                 epoch_loss += loss * count
                 epoch_hits += acc * count
@@ -186,7 +243,7 @@ def train(cfg: TrainConfig) -> TrainResult:
         losses.append(loss)
         accuracies.append(epoch_hits / size)
     try:
-        final_loss, final_acc = _evaluate(model, data)
+        final_loss, final_acc = _evaluate(model, data, ws)
     except FloatingPointError:
         raise TrainingDiverged(cfg.epochs) from None
     return TrainResult(

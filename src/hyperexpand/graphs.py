@@ -56,24 +56,24 @@ class Graph:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from an edge list.
 
-    Rejects vertex counts above MAX_VERTICES, out-of-range ids,
-    self-loops, and duplicate edges (in either orientation), naming the
-    offending pair.
+    Rejects negative vertex counts and counts above MAX_VERTICES, naming
+    n, and out-of-range ids, self-loops, and duplicate edges (in either
+    orientation), naming edges and the first offending pair.
     """
     if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
+        raise GraphError(f"vertex count n must be non-negative, got {n}")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
     seen: set[tuple[int, int]] = set()
     adjacency: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+            raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
         if u == v:
-            raise GraphError(f"self-loop ({u}, {v}) not allowed")
+            raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
+            raise GraphError(f"edges: duplicate edge ({u}, {v})")
         seen.add(key)
         adjacency[u].append(v)
         adjacency[v].append(u)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 import hyperexpand
 from hyperexpand.graphs import BipartiteExpander, Graph, build_graph
 
@@ -17,6 +19,18 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edges())
         offset += g.n
     return build_graph(offset, edges)
+
+
+@st.composite
+def disjoint_matchings(draw, max_n=12):
+    """(n, k edge-disjoint permutations of 0..n-1 as lists): row s is
+    l -> sigma[(tau[l] + shift_s) % n] for k distinct shifts."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    sigma = draw(st.permutations(range(n)))
+    tau = draw(st.permutations(range(n)))
+    shifts = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+    return n, [[sigma[(tau[l] + s) % n] for l in range(n)] for s in shifts]
 
 
 def to_graph_by_edges(b: BipartiteExpander) -> Graph:

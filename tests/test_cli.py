@@ -10,6 +10,7 @@ import pytest
 
 from hyperexpand.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, entry
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
+from hyperexpand.gnn.training import MAX_TRAIN_BYTES
 from hyperexpand.graphs import (
     MAX_VERTICES,
     circular_ladder_graph,
@@ -496,6 +497,31 @@ class TestTrain:
         assert entry(TINY_TRAIN + ["--seeds", "1,x"]) == EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
 
+
+
+class TestTrainMemoryLimit:
+    """A train run whose estimated working set exceeds MAX_TRAIN_BYTES exits
+    1 naming the field and the limit before anything is allocated. The child
+    runs with 2 GiB of address space, so a missing check fails the test
+    instead of exhausting the machine."""
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["--depth", "8", "--rewire", "--dataset-size", "100000"], "dataset_size"),
+            (["--depth", "5", "--rewire", "--dataset-size", "5000"], "dataset_size"),
+            (["--hidden", "1000000"], "hidden_dim"),
+            (["--layers", "100000000"], "num_layers"),
+        ],
+    )
+    def test_exits_1(self, args, field):
+        proc = run_module(["train", *args, "--epochs", "1"], address_space=2 << 30)
+        assert proc.returncode == EXIT_USAGE
+        assert field in proc.stderr and f"MAX_TRAIN_BYTES = {MAX_TRAIN_BYTES}" in proc.stderr
+
+    def test_depth_above_limit_exits_1(self, capsys):
+        assert entry(TINY_TRAIN + ["--depth", "9"]) == EXIT_USAGE
+        assert "depth must be in 1..8" in capsys.readouterr().err
 
 class TestParser:
     def test_missing_subcommand_exits_1(self, capsys):

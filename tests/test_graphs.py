@@ -25,7 +25,7 @@ from hyperexpand.graphs import (
     petersen_graph,
 )
 
-from helpers import disjoint_union, matching_error_by_loops, to_graph_by_edges
+from helpers import disjoint_matchings, disjoint_union, matching_error_by_loops, to_graph_by_edges
 
 
 def floyd_warshall_diameter(g):
@@ -198,16 +198,57 @@ class TestBipartiteExpander:
             make_bipartite_expander(2, 2, 3, ((0, 1), (1, 0), (0, 1)))
 
 
+
 @st.composite
-def disjoint_matchings(draw, max_n=12):
-    """(n, k edge-disjoint permutations of 0..n-1 as lists): row s is
-    l -> sigma[(tau[l] + shift_s) % n] for k distinct shifts."""
+def bad_graph_inputs(draw, max_n=10):
+    """(n, edges, field, pair): a simple graph with one defect inserted,
+    the field it breaks and the pair a message must name (None for n)."""
     n = draw(st.integers(1, max_n))
-    k = draw(st.integers(1, n))
-    sigma = draw(st.permutations(range(n)))
-    tau = draw(st.permutations(range(n)))
-    shifts = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
-    return n, [[sigma[(tau[l] + s) % n] for l in range(n)] for s in shifts]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    kind = draw(st.sampled_from(["negative n", "range", "self-loop", "duplicate"] if edges
+                                else ["negative n", "range", "self-loop"]))
+    if kind == "negative n":
+        return draw(st.integers(-(2**70), -1)), edges, "n", None
+    if kind == "range":
+        bad = draw(st.one_of(st.integers(n, n + 5), st.integers(-5, -1), st.just(2**70)))
+        pair = (bad, draw(st.integers(0, n - 1)))
+        pair = pair[::-1] if draw(st.booleans()) else pair
+        at = draw(st.integers(0, len(edges)))
+    elif kind == "self-loop":
+        v = draw(st.integers(0, n - 1))
+        pair = (v, v)
+        at = draw(st.integers(0, len(edges)))
+    else:
+        i = draw(st.integers(0, len(edges) - 1))
+        u, v = edges[i]
+        pair = (v, u) if draw(st.booleans()) else (u, v)
+        at = draw(st.integers(i + 1, len(edges)))
+    return n, edges[:at] + [pair] + edges[at:], "edges", pair
+
+
+class TestBuildGraphRejections:
+    """Each bad input is a GraphError naming its field and, for edges, the
+    offending pair as given."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(bad_graph_inputs())
+    def test_defect_is_named(self, case):
+        n, edges, field, pair = case
+        with pytest.raises(GraphError) as err:
+            build_graph(n, edges)
+        msg = str(err.value)
+        if field == "n":
+            assert f"n must be non-negative, got {n}" in msg
+        else:
+            assert msg.startswith("edges: ") and f"({pair[0]}, {pair[1]})" in msg
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(MAX_VERTICES + 1, 2**80))
+    def test_vertex_count_above_limit_is_named(self, n):
+        with pytest.raises(GraphError, match=f"^vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}$"):
+            build_graph(n, [(0, 1)])
 
 
 @st.composite

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperexpand.graphs import build_graph, cycle_graph, make_bipartite_expander, petersen_graph
+from hyperexpand.rewire import RewiredInstance, layer_schedule, rewired_from_dict
 from hyperexpand.serialize import (
     bipartite_from_dict,
     bipartite_to_dict,
@@ -18,6 +19,8 @@ from hyperexpand.serialize import (
     graph_to_dict,
     load_graph_file,
 )
+
+from helpers import disjoint_matchings
 
 
 class TestFormatFloat:
@@ -77,6 +80,59 @@ class TestGraphRoundTrip:
         assert d["edges"] == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
 
+@st.composite
+def simple_graphs(draw, min_n=0, max_n=12):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_graph(n, edges)
+
+
+@st.composite
+def rewired_instances(draw):
+    """A graph on n vertices with a k-regular overlay from disjoint_matchings."""
+    n, ms = draw(disjoint_matchings(max_n=10))
+    g = draw(simple_graphs(min_n=n, max_n=n))
+    return RewiredInstance(
+        original=g,
+        expander=make_bipartite_expander(n, n, len(ms), ms),
+        total_nodes=2 * n,
+        hyperedge_mask=tuple(i >= n for i in range(2 * n)),
+        schedule=layer_schedule(draw(st.integers(1, 8))),
+    )
+
+
+class TestJsonRoundTripProperties:
+    """dumps_canonical -> json.loads -> from_dict gives back an equal
+    object, whose payload dumps to the same bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(simple_graphs())
+    def test_graph_payload(self, g):
+        text = dumps_canonical(graph_to_dict(g))
+        back = graph_from_dict(json.loads(text))
+        assert back == g
+        assert dumps_canonical(graph_to_dict(back)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_matchings())
+    def test_bipartite_payload(self, case):
+        n, ms = case
+        b = make_bipartite_expander(n, n, len(ms), ms)
+        text = dumps_canonical(bipartite_to_dict(b))
+        back = bipartite_from_dict(json.loads(text))
+        assert back == b
+        assert dumps_canonical(bipartite_to_dict(back)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(rewired_instances())
+    def test_rewired_payload(self, inst):
+        text = dumps_canonical(inst.to_dict())
+        back = rewired_from_dict(json.loads(text))
+        assert back == inst
+        assert dumps_canonical(back.to_dict()) == text
+
+
 class TestMalformedFields:
     """Missing or mistyped fields are ValueErrors that name the field."""
 
@@ -116,14 +172,6 @@ class TestMalformedFields:
     def test_non_dict_payload(self):
         with pytest.raises(ValueError, match="format"):
             graph_from_dict([1, 2])
-
-
-@st.composite
-def simple_graphs(draw, max_n=12):
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return build_graph(n, edges)
 
 
 class TestEdgeList:

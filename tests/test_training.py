@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hyperexpand.gnn.layers import HyperedgeMode
-from hyperexpand.gnn.training import TrainConfig, TrainingDiverged, train
-from hyperexpand.rewire import LayerKind
+from hyperexpand.gnn.layers import HyperedgeMode, Workspace
+from hyperexpand.gnn.model import build_model, forward_batch, loss_and_gradients
+from hyperexpand.gnn.training import (
+    MAX_TRAIN_BYTES,
+    TrainConfig,
+    TrainingDiverged,
+    _prepare_data,
+    train,
+)
+from hyperexpand.gnn.treematch import MAX_DEPTH
+from hyperexpand.rewire import LayerKind, layer_schedule
 
 
 def tiny(**overrides):
@@ -36,6 +46,49 @@ class TestConfigValidation:
             tiny(expander_k=0)
         with pytest.raises(ValueError):
             tiny(dataset_size=0)
+
+
+class TestMemoryLimit:
+    """Configs whose estimated working set exceeds MAX_TRAIN_BYTES are
+    ValueErrors naming the field and the limit, raised before any array
+    exists (TrainConfig is checked before train allocates)."""
+
+    def test_dataset_size_named(self):
+        with pytest.raises(ValueError, match=f"dataset_size must be <= .*MAX_TRAIN_BYTES = {MAX_TRAIN_BYTES}"):
+            TrainConfig(depth=8, rewire=True, dataset_size=100_000)
+
+    def test_largest_accepted_dataset_is_the_bound(self):
+        with pytest.raises(ValueError) as err:
+            TrainConfig(depth=8, rewire=True, dataset_size=100_000)
+        most = int(str(err.value).split("<= ")[1].split()[0])
+        TrainConfig(depth=8, rewire=True, dataset_size=most)
+        with pytest.raises(ValueError, match="dataset_size"):
+            TrainConfig(depth=8, rewire=True, dataset_size=most + 1)
+
+    @pytest.mark.parametrize("field", [{"hidden_dim": 10**6}, {"num_layers": 10**8}])
+    def test_width_and_layers_named(self, field):
+        with pytest.raises(ValueError, match="num_layers and hidden_dim exceed .*MAX_TRAIN_BYTES"):
+            TrainConfig(**field)
+
+    def test_depth_above_task_limit(self):
+        with pytest.raises(ValueError, match=f"depth must be in 1..{MAX_DEPTH}"):
+            TrainConfig(depth=MAX_DEPTH + 1)
+        with pytest.raises(ValueError, match="depth"):
+            TrainConfig(depth=10**9)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(depth=5, rewire=True, dataset_size=500),  # perfbench train-d5
+            dict(depth=5, rewire=True, hyperedge_mode=HyperedgeMode.LEARNED, dataset_size=500),
+            dict(depth=2, rewire=True, dataset_size=500),  # criterion 8, perfbench train-d2
+            dict(depth=1, dataset_size=1000),  # criterion 8 part a
+            dict(depth=2, rewire=True),  # CLI defaults with --rewire
+            dict(depth=MAX_DEPTH, rewire=True, dataset_size=64),
+        ],
+    )
+    def test_shipped_configs_accepted(self, kw):
+        TrainConfig(**kw)
 
 
 class TestTrainingLoop:
@@ -182,9 +235,138 @@ GOLDEN_HISTORIES = {
 }
 
 
+# The same depth-2 task through minibatches of 20 (a ragged last batch of
+# 4, then a full-batch final evaluation) and through Adam.
+GOLDEN_HISTORIES.update({
+    "minibatch-plain": (
+        {"batch_size": 20},
+        [
+            1.9491715053712406,
+            1.5592890788416753,
+            1.416147073533453,
+            1.3884105984426376,
+            1.3759068065864528,
+            1.3475487993251416,
+            1.3538717854994604,
+            1.3301394839390637,
+            1.3224742375163288,
+            1.3124568069035016,
+        ],
+        1.3368225528323352,
+    ),
+    "minibatch-summation": (
+        {"batch_size": 20, "rewire": True, "hyperedge_mode": HyperedgeMode.SUMMATION},
+        [
+            14.160987075924838,
+            18.12023315061799,
+            2.3249507892790993,
+            1.4330431840155813,
+            1.385621976780745,
+            1.3779255638791934,
+            1.3542086403249285,
+            1.3394210490026814,
+            1.3406994217370314,
+            1.3210034186924111,
+        ],
+        1.3132327608262944,
+    ),
+    "adam-minibatch-learned": (
+        {
+            "batch_size": 20,
+            "rewire": True,
+            "hyperedge_mode": HyperedgeMode.LEARNED,
+            "optimizer": "adam",
+            "learning_rate": 0.005,
+        },
+        [
+            2.9523596557326814,
+            1.7085408083369484,
+            1.3334737063214177,
+            1.329174181611986,
+            1.3323287347071016,
+            1.2824091058291511,
+            1.285895977742759,
+            1.1703380773809182,
+            1.1069222001516088,
+            1.0213505873459297,
+        ],
+        0.9601344317040146,
+    ),
+    "adam-plain": (
+        {"optimizer": "adam", "learning_rate": 0.005},
+        [
+            2.529726113383799,
+            1.620100304506968,
+            1.5582967719355847,
+            1.3660386381595129,
+            1.381979913378052,
+            1.3143435515418984,
+            1.2633152867033774,
+            1.2592602093841982,
+            1.2255477170663607,
+            1.2173417699055502,
+        ],
+        1.217388252837801,
+    ),
+})
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN_HISTORIES))
 def test_golden_loss_history(variant):
     extra, losses, final_loss = GOLDEN_HISTORIES[variant]
     res = train(TrainConfig(depth=2, epochs=10, dataset_size=64, seed=3, **extra))
     assert res.losses == pytest.approx(losses, rel=1e-12, abs=0)
     assert res.final_loss == pytest.approx(final_loss, rel=1e-12, abs=0)
+
+
+class TestWorkspace:
+    """One workspace per run: steps after the first allocate no activation,
+    and a pass through a used workspace computes what fresh arrays do."""
+
+    def setup_run(self, mode=HyperedgeMode.SUMMATION, size=256):
+        cfg = TrainConfig(depth=2, dataset_size=size, seed=5, rewire=True, hyperedge_mode=mode)
+        data, in_dim, num_classes = _prepare_data(cfg)
+        model = build_model(in_dim, cfg.hidden_dim, num_classes, layer_schedule(3), mode=mode, seed=5)
+        return cfg, data, model
+
+    @pytest.mark.parametrize("mode", list(HyperedgeMode))
+    def test_later_steps_allocate_no_activation(self, mode):
+        cfg, data, model = self.setup_run(mode)
+        batch, rows = data.feats.shape[:2]
+        activation = batch * rows * cfg.hidden_dim * 8
+        args = (model, data.feats, data.targets, data.adj_orig, data.biadj)
+        ws = Workspace()
+        loss_and_gradients(*args, ws)  # warm-up: the workspace fills
+        tracemalloc.start()
+        try:
+            loss_and_gradients(*args, ws)
+            # a ragged minibatch reuses the full batch's buffers
+            loss_and_gradients(model, data.feats[:50], data.targets[:50], data.adj_orig, data.biadj[:50], ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < activation
+
+    @pytest.mark.parametrize("mode", list(HyperedgeMode))
+    def test_passes_through_one_workspace_match_fresh_calls(self, mode):
+        _, data, model = self.setup_run(mode, size=40)
+        halves = [(data.feats[:25], data.biadj[:25]), (data.feats[25:], data.biadj[25:])]
+        ws = Workspace()
+        for feats, biadj in halves + halves:
+            logits, _ = forward_batch(model, feats, data.adj_orig, biadj, ws)
+            fresh, _ = forward_batch(model, feats, data.adj_orig, biadj)
+            assert np.array_equal(logits, fresh)
+        for lo, hi in ((0, 25), (25, 40), (0, 40)):
+            args = (model, data.feats[lo:hi], data.targets[lo:hi], data.adj_orig, data.biadj[lo:hi])
+            loss, acc, grads = loss_and_gradients(*args, ws)
+            want_loss, want_acc, want = loss_and_gradients(*args)
+            assert (loss, acc) == (want_loss, want_acc)
+            assert all(np.array_equal(grads[name], want[name]) for name in want)
+
+    def test_outputs_live_until_the_next_pass(self):
+        _, data, model = self.setup_run(size=8)
+        ws = Workspace()
+        _, first = forward_batch(model, data.feats, data.adj_orig, data.biadj, ws)
+        _, second = forward_batch(model, data.feats[:4], data.adj_orig, data.biadj[:4], ws)
+        # the second pass wrote into the first pass's buffers
+        assert np.shares_memory(first[1], second[1])
