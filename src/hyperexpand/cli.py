@@ -85,21 +85,18 @@ def _cmd_generate(args) -> int:
     }
     if args.ramanujan:
         expander, attempts, report = ramanujan_bipartite(cfg)
-        result = {
-            "expander": bipartite_to_dict(expander),
-            "attempts": attempts,
-            "report": report.to_dict(),
-        }
     else:
         expander = k_regular_bipartite(cfg)
-        result = {"expander": bipartite_to_dict(expander)}
     if args.format == "edgelist":
         header = (
             f"# config: {dumps_canonical(config)}\n# tool_version: {TOOL_VERSION}\n"
         )
-        _emit_text(header + edgelist_dumps(expander.to_graph()), args.out)
-    else:
-        _emit(_envelope(config, result), args.out)
+        _emit_text(header + edgelist_dumps(expander), args.out)
+        return EXIT_OK
+    result = {"expander": bipartite_to_dict(expander)}
+    if args.ramanujan:
+        result.update(attempts=attempts, report=report.to_dict())
+    _emit(_envelope(config, result), args.out)
     return EXIT_OK
 
 

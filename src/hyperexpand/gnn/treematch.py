@@ -9,6 +9,7 @@ Solving the task requires moving information across the full tree depth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,13 @@ from ..rng import SplitMix64
 MAX_DEPTH = 8
 
 
+@functools.lru_cache(maxsize=MAX_DEPTH)
 def tree_graph(depth: int) -> Graph:
-    """Complete binary tree: root 0, children of i at 2i+1 and 2i+2."""
+    """Complete binary tree: root 0, children of i at 2i+1 and 2i+2.
+
+    Cached: the instances of one depth share one immutable Graph, so a
+    dataset builds and validates it once, not once per sample.
+    """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     n = 2 ** (depth + 1) - 1

@@ -43,7 +43,16 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+        return list(map(tuple, self.edge_array().tolist()))
+
+    def edge_array(self) -> np.ndarray:
+        """edges() as an (edge_count, 2) int64 array, read off the
+        flattened adjacency: arc (u, v) is kept when u < v."""
+        degrees = np.fromiter(map(len, self.adjacency), np.int64, self.n)
+        nbrs = np.fromiter(itertools.chain.from_iterable(self.adjacency), np.int64, int(degrees.sum()))
+        src = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
+        keep = src < nbrs
+        return np.stack((src[keep], nbrs[keep]), axis=1)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
@@ -56,29 +65,88 @@ class Graph:
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from an edge list.
 
+    edges is an (m, 2) integer array or any iterable of (u, v) pairs.
     Rejects negative vertex counts and counts above MAX_VERTICES, naming
-    n, and out-of-range ids, self-loops, and duplicate edges (in either
-    orientation), naming edges and the first offending pair.
+    n, and ids that are not integers, out-of-range ids, self-loops, and
+    duplicate edges (in either orientation), naming edges and the first
+    offending pair in input order. The checks are whole-array, and the
+    sorted adjacency comes from one sort of the arcs keyed by
+    (source, target).
     """
     if n < 0:
         raise GraphError(f"vertex count n must be non-negative, got {n}")
     if n > MAX_VERTICES:
         raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
-    seen: set[tuple[int, int]] = set()
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    a = _id_pairs(pairs)
+    m = len(a)
+    outside = ((a < 0) | (a >= n)).any(axis=1)
+    bad = np.flatnonzero(outside | (a[:, 0] == a[:, 1]))
+    first = int(bad[0]) if bad.size else m
+    # Before the first range or loop defect every id is in range, so
+    # lo * n + hi names an undirected edge; a stable sort puts each
+    # repeat after its first occurrence.
+    lo, hi = np.sort(a[:first], axis=1).T
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][np.diff(key[order]) == 0]
+    if repeats.size:
+        u, v = pairs[int(repeats.min())]
+        raise GraphError(f"edges: duplicate edge ({u}, {v})")
+    if first < m:
+        u, v = pairs[first]
+        if outside[first]:
             raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphError(f"edges: duplicate edge ({u}, {v})")
-        seen.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-    return Graph(n=n, adjacency=adj, edge_count=len(seen))
+        raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
+    if m < len(pairs):
+        _reject_pair(pairs[m], n)
+    src = np.concatenate((a[:, 0], a[:, 1]))
+    arcs = np.sort(src * n + np.concatenate((a[:, 1], a[:, 0])))
+    nbrs = (arcs % n).tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    adj = tuple(tuple(nbrs[s:e]) for s, e in zip([0, *ends], ends))
+    return Graph(n=n, adjacency=adj, edge_count=m)
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _is_id(x) -> bool:
+    return isinstance(x, (int, np.integer)) and _INT64_MIN <= x <= _INT64_MAX
+
+
+def _id_pairs(pairs) -> np.ndarray:
+    """The longest prefix of pairs whose entries are (u, v) pairs of
+    integers within int64, as a (c, 2) int64 array. An integer array of
+    shape (m, 2) converts in one call; anything else is read pair by pair
+    up to the first entry that does not convert exactly."""
+    try:
+        a = np.asarray(pairs)
+    except ValueError:  # ragged entries
+        a = None
+    if a is not None and a.dtype.kind in "iub" and a.ndim == 2 and a.shape[1] == 2:
+        return a.astype(np.int64, copy=False)  # uint64 ids past int64 wrap negative: out of range
+    rows = []
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            break
+        if not (_is_id(u) and _is_id(v)):
+            break
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+
+
+def _reject_pair(e, n: int):
+    """Raise the GraphError for an entry _id_pairs stopped at."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise GraphError(f"edges: entry {e!r} is not a (u, v) pair") from None
+    if isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer)):
+        raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
+    raise GraphError(f"edges: ({u!r}, {v!r}) ids must be integers")
 
 
 def is_k_regular(g: Graph) -> int | None:
@@ -187,6 +255,15 @@ class BipartiteExpander:
         right = np.sort(inv, axis=0)
         adjacency = tuple(zip(*left.tolist())) + tuple(zip(*right.tolist()))
         return Graph(n=self.n_left + self.n_right, adjacency=adjacency, edge_count=self.k * self.n_left)
+
+    def edge_array(self) -> np.ndarray:
+        """to_graph().edge_array() without building the graph: row l of
+        the transposed column-wise sort of the matchings holds left l's
+        sorted right neighbours."""
+        m, _ = self._perms
+        right = np.sort(m, axis=0).T + self.n_left
+        left = np.repeat(np.arange(self.n_left, dtype=np.int64), self.k)
+        return np.stack((left, right.ravel()), axis=1)
 
     def is_connected(self) -> bool:
         """Whether to_graph() is connected, without building it.

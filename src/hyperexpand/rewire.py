@@ -16,6 +16,7 @@ from .construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
 from .graphs import BipartiteExpander, Graph, build_graph
 from .serialize import (
     REWIRED_FORMAT,
+    IntList,
     bipartite_from_dict,
     bipartite_to_dict,
     graph_from_dict,
@@ -38,6 +39,11 @@ def layer_schedule(num_layers: int) -> tuple[LayerKind, ...]:
     )
 
 
+def _mask(n: int) -> tuple[bool, ...]:
+    """The hyperedge mask of an n-vertex graph: ids n..2n-1 of 2n."""
+    return (False,) * n + (True,) * n
+
+
 @dataclass(frozen=True)
 class RewiredInstance:
     original: Graph
@@ -52,14 +58,12 @@ class RewiredInstance:
             raise ValueError("expander left side must match original vertex count")
         if self.total_nodes != 2 * n:
             raise ValueError("augmented node count must be 2n")
-        if len(self.hyperedge_mask) != 2 * n or any(
-            self.hyperedge_mask[i] != (i >= n) for i in range(2 * n)
-        ):
+        if tuple(self.hyperedge_mask) != _mask(n):
             raise ValueError("hyperedge mask must select exactly ids n..2n-1")
 
     def original_view(self) -> Graph:
         """Original edges on the augmented node set; hyperedge nodes isolated."""
-        return build_graph(self.total_nodes, self.original.edges())
+        return build_graph(self.total_nodes, self.original.edge_array())
 
     def to_dict(self) -> dict:
         return {
@@ -67,7 +71,7 @@ class RewiredInstance:
             "original": graph_to_dict(self.original),
             "expander": bipartite_to_dict(self.expander),
             "total_nodes": self.total_nodes,
-            "hyperedge_mask": list(self.hyperedge_mask),
+            "hyperedge_mask": IntList(self.hyperedge_mask),
             "schedule": [kind.value for kind in self.schedule],
         }
 
@@ -107,6 +111,6 @@ def augment(
         original=g,
         expander=expander,
         total_nodes=2 * g.n,
-        hyperedge_mask=tuple(i >= g.n for i in range(2 * g.n)),
+        hyperedge_mask=_mask(g.n),
         schedule=layer_schedule(num_layers),
     )

@@ -3,12 +3,27 @@
 JSON payloads use fixed key order (insertion order of the dicts built
 here) and 17-significant-digit float formatting, so re-running a command
 with the same configuration reproduces byte-identical files.
+
+The payload builders wrap the integer-only fields, a graph's "edges",
+an expander's "matchings" and a rewired instance's "hyperedge_mask", in
+IntList. dumps_canonical writes an IntList with one C-level json.dumps
+call instead of one recursive step per integer; for ints, bools and
+lists of them the two give the same bytes. Floats never take that path:
+json.dumps writes repr(x), the shortest round-trip digits, where the
+canonical form is format_float's 17 significant digits.
+
+Edge lists are read and written as whole (m, 2) integer arrays: the body
+is parsed by one np.loadtxt call and formatted by one %-format.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .graphs import BipartiteExpander, Graph, build_graph, make_bipartite_expander
 
@@ -25,6 +40,11 @@ def format_float(x: float) -> str:
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"
     return s
+
+
+class IntList(list):
+    """A payload list holding only ints, bools and lists of them, which
+    dumps_canonical writes with one json.dumps call."""
 
 
 def dumps_canonical(obj) -> str:
@@ -56,6 +76,8 @@ def _write(obj, out: list[str]) -> None:
             out.append(":")
             _write(value, out)
         out.append("}")
+    elif type(obj) is IntList:
+        out.append(json.dumps(obj, separators=(",", ":"), check_circular=False))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):
@@ -84,7 +106,7 @@ def payload_field(d: dict, name: str, parse=lambda value: value):
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"format": GRAPH_FORMAT, "n": g.n, "edges": [list(e) for e in g.edges()]}
+    return {"format": GRAPH_FORMAT, "n": g.n, "edges": IntList(g.edge_array().tolist())}
 
 
 def graph_from_dict(d: dict) -> Graph:
@@ -99,7 +121,7 @@ def bipartite_to_dict(b: BipartiteExpander) -> dict:
         "n_left": b.n_left,
         "n_right": b.n_right,
         "k": b.k,
-        "matchings": [list(m) for m in b.matchings],
+        "matchings": IntList(map(list, b.matchings)),
     }
 
 
@@ -113,9 +135,15 @@ def bipartite_from_dict(d: dict) -> BipartiteExpander:
     )
 
 
-def edgelist_dumps(g: Graph) -> str:
-    lines = [f"# n={g.n}"] + [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
+def edgelist_dumps(g: Graph | BipartiteExpander) -> str:
+    """A "# n=" header, then one "u v" line per edge, u < v, sorted.
+
+    An expander is written as its derived graph, straight from the
+    column-sorted matchings, without building that graph.
+    """
+    n = g.n if isinstance(g, Graph) else g.n_left + g.n_right
+    edges = g.edge_array()
+    return f"# n={n}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
 
 
 def edgelist_loads(text: str) -> Graph:
@@ -124,34 +152,62 @@ def edgelist_loads(text: str) -> Graph:
     Vertex count comes from a "# n=" header, else the largest endpoint
     seen. A header is a comment line that, with whitespace removed, starts
     with "#n="; the first one counts, and one after an edge line is a
-    ValueError naming n rather than a count silently dropped.
+    ValueError naming n rather than a count silently dropped. Errors are
+    those of the first offending line.
     """
+    lines = text.splitlines()
+    comments = [i for i, line in enumerate(lines) if "#" in line and line.lstrip().startswith("#")]
+    first_edge = next(
+        (i for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")),
+        len(lines),
+    )
+    headers = [i for i in comments if "".join(lines[i].split()).startswith("#n=")]
     n = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
+    if headers and headers[0] < first_edge:
+        line = lines[headers[0]].strip()
+        try:
+            n = int("".join(line.split())[3:])
+        except ValueError:
+            raise ValueError(f"malformed field 'n' in edge-list header {line!r}") from None
+    late = next((i for i in headers if i > first_edge), len(lines))
+    # The lines before a misplaced header, less the comments: slices
+    # between consecutive comment lines.
+    kept = [c for c in comments if c < late]
+    body = itertools.chain.from_iterable(lines[a + 1 : b] for a, b in zip([-1, *kept], [*kept, late]))
+    rows = _edge_rows(list(body))
+    if late < len(lines):
+        line = lines[late].strip()
+        raise ValueError(f"malformed field 'n': edge-list header {line!r} follows an edge line")
+    if n is None:
+        n = int(rows.max(initial=-1)) + 1
+    return build_graph(n, rows)
+
+
+def _edge_rows(lines: list[str]) -> np.ndarray:
+    """Edge lines as an (m, 2) array, blank lines skipped.
+
+    One np.loadtxt call reads lines of two ASCII integers within int64.
+    Otherwise the lines are read one by one with int(), which also takes
+    what loadtxt refuses ("1_0", non-ASCII digits, ids past int64; the
+    result is then an object array), and the first invalid line is named.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-blank body warns that it holds no data
+            a = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        if a.shape[1] == 2:
+            return a
+    except ValueError:
+        pass
+    rows = []
+    for raw in lines:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            key = "".join(line.split())
-            if key.startswith("#n=") and edges:
-                raise ValueError(f"malformed field 'n': edge-list header {line!r} follows an edge line")
-            if key.startswith("#n=") and n is None:
-                try:
-                    n = int(key[3:])
-                except ValueError:
-                    raise ValueError(f"malformed field 'n' in edge-list header {line!r}") from None
-            continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"invalid edge line: {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if n is None:
-        n = max_id + 1
-    return build_graph(n, edges)
+        rows.append((int(parts[0]), int(parts[1])))
+    return np.array(rows, dtype=object).reshape(len(rows), 2)
 
 
 def _graph_from_payload(d: dict) -> Graph | None:

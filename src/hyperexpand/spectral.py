@@ -129,7 +129,7 @@ def _bipartite_eigenvalues(g: Graph, side: list[int]) -> np.ndarray:
 
 
 def adjacency_eigenvalues(
-    g: Graph, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto"
+    g: Graph, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto", side=...
 ) -> np.ndarray:
     """All n adjacency eigenvalues, sorted descending.
 
@@ -138,7 +138,8 @@ def adjacency_eigenvalues(
     biadjacency block when bipartition(g) finds a two-colouring, so the
     n x n matrix is never built, and a dense symmetric eigensolve of the
     full matrix otherwise; both are backward stable, each eigenvalue within
-    O(eps * max degree).  Raises ValueError above MAX_DENSE_N vertices, and
+    O(eps * max degree).  A caller that already holds bipartition(g)
+    passes it as side.  Raises ValueError above MAX_DENSE_N vertices, and
     for jacobi above MAX_JACOBI_N.
     """
     if g.n < 1:
@@ -157,7 +158,8 @@ def adjacency_eigenvalues(
                 f"MAX_JACOBI_N={MAX_JACOBI_N}"
             )
         return jacobi_eigenvalues(g.adjacency_matrix(), tolerance)
-    side = bipartition(g)
+    if side is ...:
+        side = bipartition(g)
     try:
         if side is not None:
             return _bipartite_eigenvalues(g, side)
@@ -284,9 +286,10 @@ def analyze(
         raise NotRegularError(
             f"analyze requires a k-regular graph (degrees {sorted(set(g.degrees()))})"
         )
-    eigs = adjacency_eigenvalues(g, tolerance, method)
+    side = bipartition(g)
+    eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
     connected = _multiplicity_of_k(eigs, k, tolerance) == 1
-    bip = bipartition(g) is not None
+    bip = side is not None
     lam = nontrivial_lambda(eigs, k, tolerance)
     lambda_2 = float(eigs[1]) if g.n >= 2 else None
 

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
 from hypothesis import strategies as st
 
 import hyperexpand
-from hyperexpand.graphs import BipartiteExpander, Graph, build_graph
+from hyperexpand.graphs import MAX_VERTICES, BipartiteExpander, Graph, GraphError, build_graph
+from hyperexpand.serialize import format_float
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -63,3 +65,108 @@ def child_env() -> dict[str, str]:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def build_graph_by_loop(n: int, edges) -> Graph:
+    """build_graph as one loop over the pairs, with a set of the edges
+    seen and per-vertex lists sorted at the end: the reference for the
+    whole-array build_graph (on integer ids)."""
+    if n < 0:
+        raise GraphError(f"vertex count n must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
+    seen: set[tuple[int, int]] = set()
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise GraphError(f"edges: duplicate edge ({u}, {v})")
+        seen.add(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+    return Graph(n=n, adjacency=adj, edge_count=len(seen))
+
+
+def edgelist_loads_by_lines(text: str) -> Graph:
+    """edgelist_loads as one pass over the lines with int() on each token,
+    ending in build_graph_by_loop: the reference for the array parser."""
+    n = None
+    edges: list[tuple[int, int]] = []
+    max_id = -1
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key = "".join(line.split())
+            if key.startswith("#n=") and edges:
+                raise ValueError(f"malformed field 'n': edge-list header {line!r} follows an edge line")
+            if key.startswith("#n=") and n is None:
+                try:
+                    n = int(key[3:])
+                except ValueError:
+                    raise ValueError(f"malformed field 'n' in edge-list header {line!r}") from None
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"invalid edge line: {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    if n is None:
+        n = max_id + 1
+    return build_graph_by_loop(n, edges)
+
+
+def dumps_by_recursion(obj) -> str:
+    """dumps_canonical with one recursive step per value, every list
+    written element by element: the reference for the IntList path."""
+    out: list[str] = []
+
+    def write(obj) -> None:
+        if obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, int):
+            out.append(str(obj))
+        elif isinstance(obj, float):
+            out.append(format_float(obj))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj))
+        elif isinstance(obj, dict):
+            out.append("{")
+            for i, (key, value) in enumerate(obj.items()):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(str(key)))
+                out.append(":")
+                write(value)
+            out.append("}")
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, value in enumerate(obj):
+                if i:
+                    out.append(",")
+                write(value)
+            out.append("]")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    write(obj)
+    return "".join(out)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception is the outcome
+        return type(e), str(e)

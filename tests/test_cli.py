@@ -179,6 +179,28 @@ class TestGoldenAboveBlockCut:
         assert got == self.GOLDEN
 
 
+class TestGoldenBuildScale:
+    """Byte goldens at the scale of the build benchmark: generate n=50000
+    k=3 as an edge list, then rewire it (a k=3 overlay at n=10^5), with
+    seeds 4 and 14 from the benchmark's build pools. The hashes were
+    recorded with the line-by-line edge-list parser, the per-edge
+    build_graph and the recursive JSON writer, before the array-native
+    I/O replaced them."""
+
+    GOLDEN = {
+        "b.edges": "128aac2ce275dbf9c25eb3548159c8e146af4309b4ac827454222cf42b69bba0",
+        "b.json": "6cd28343c15831ca584ee16e42b898fbcba87772df234adbb9257fcc3ef63c4e",
+    }
+
+    def test_generate_edgelist_and_rewire_sha256(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # rewire records its --in path
+        gen = ["generate", "--n", "50000", "--k", "3", "--seed", "4", "--format", "edgelist"]
+        assert entry(gen + ["--out", "b.edges"]) == EXIT_OK
+        assert entry(["rewire", "--in", "b.edges", "--k", "3", "--seed", "14", "--out", "b.json"]) == EXIT_OK
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert got == self.GOLDEN
+
+
 class TestAnalyze:
     def test_k33(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))

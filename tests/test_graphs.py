@@ -25,7 +25,14 @@ from hyperexpand.graphs import (
     petersen_graph,
 )
 
-from helpers import disjoint_matchings, disjoint_union, matching_error_by_loops, to_graph_by_edges
+from helpers import (
+    build_graph_by_loop,
+    disjoint_matchings,
+    disjoint_union,
+    matching_error_by_loops,
+    outcome,
+    to_graph_by_edges,
+)
 
 
 def floyd_warshall_diameter(g):
@@ -326,6 +333,79 @@ class TestMatchingNative:
         assert b.is_connected() is False
         assert is_connected(b.to_graph()) is False
         assert make_bipartite_expander(1, 1, 1, ((0,),)).is_connected() is True
+
+
+# Integer ids as build_graph may meet them: in and out of range, bools,
+# and ints past int64 (which only the loop path of the conversion reads).
+ids = st.one_of(
+    st.integers(-2, 9),
+    st.booleans(),
+    st.sampled_from([2**63 - 1, 2**63, 2**70, -(2**63), -(2**63) - 1]),
+)
+
+
+@st.composite
+def integer_edge_lists(draw):
+    """(n, pairs): a simple graph in random orientation and order, with
+    up to three pairs of arbitrary integer ids inserted or appended."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(edges)))
+        edges.insert(at, draw(st.tuples(ids, ids)))
+    return n, edges
+
+
+class TestWholeArrayBuildGraph:
+    """The whole-array build_graph against the loop reference in
+    helpers.py: the same Graph, or the same exception and message."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(integer_edge_lists())
+    def test_matches_loop(self, case):
+        n, edges = case
+        assert outcome(build_graph, n, edges) == outcome(build_graph_by_loop, n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integer_edge_lists())
+    def test_array_input_matches_loop(self, case):
+        n, edges = case
+        fits = [(int(u), int(v)) for u, v in edges if max(abs(u), abs(v)) < 2**62]
+        a = np.array(fits, dtype=np.int64).reshape(len(fits), 2)
+        assert outcome(build_graph, n, a) == outcome(build_graph_by_loop, n, a)
+
+    def test_adjacency_holds_python_ints(self):
+        g = build_graph(4, np.array([[3, 0], [True, 2]], dtype=np.int64))
+        assert g.adjacency == ((3,), (2,), (1,), (0,))
+        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+
+    @pytest.mark.parametrize(
+        "edges,shown",
+        [
+            ([(0, 1.5)], "(0, 1.5)"),
+            ([(0, 1), ("2", 1)], "('2', 1)"),
+            ([(1.0, 2)], "(1.0, 2)"),
+            ([(0, None)], "(0, None)"),
+            (np.array([[0.0, 1.0]]), "(np.float64(0.0), np.float64(1.0))"),
+        ],
+    )
+    def test_non_integer_ids_are_named(self, edges, shown):
+        with pytest.raises(GraphError) as err:
+            build_graph(3, edges)
+        assert str(err.value) == f"edges: {shown} ids must be integers"
+
+    @pytest.mark.parametrize("entry", [(0, 1, 2), (0,), 7, None])
+    def test_non_pairs_are_named(self, entry):
+        with pytest.raises(GraphError, match=r"^edges: entry .* is not a \(u, v\) pair$"):
+            build_graph(3, [(0, 1), entry])
+
+    def test_earlier_defect_wins_over_a_non_integer(self):
+        with pytest.raises(GraphError, match=r"^edges: self-loop \(2, 2\) not allowed$"):
+            build_graph(3, [(2, 2), (0, 1.5)])
+        with pytest.raises(GraphError, match=r"^edges: duplicate edge \(1, 0\)$"):
+            build_graph(3, [(0, 1), (1, 0), ("a", 1)])
 
 
 def test_disjoint_union_relabels():

@@ -151,6 +151,33 @@ class TestRewiredInstance:
                 schedule=inst.schedule,
             )
 
+    @pytest.mark.parametrize(
+        "mask,ok",
+        [
+            ([False] * 4 + [True] * 4, True),
+            ((0,) * 4 + (1,) * 4, True),
+            ((False,) * 4 + (True,) * 3, False),
+            ((False,) * 3 + (True,) * 5, False),
+            ((False,) * 4 + (True,) * 5, False),
+            ((), False),
+        ],
+    )
+    def test_mask_is_compared_by_value(self, inst, mask, ok):
+        def make():
+            return RewiredInstance(
+                original=inst.original,
+                expander=inst.expander,
+                total_nodes=8,
+                hyperedge_mask=mask,
+                schedule=inst.schedule,
+            )
+
+        if ok:
+            assert make().to_dict() == inst.to_dict()
+        else:
+            with pytest.raises(ValueError, match="^hyperedge mask must select exactly ids n..2n-1$"):
+                make()
+
     def test_envelope_round_trip(self, inst):
         d = inst.to_dict()
         assert d["format"] == REWIRED_FORMAT

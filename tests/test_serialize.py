@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hyperexpand.graphs import build_graph, cycle_graph, make_bipartite_expander, petersen_graph
 from hyperexpand.rewire import RewiredInstance, layer_schedule, rewired_from_dict
 from hyperexpand.serialize import (
+    IntList,
     bipartite_from_dict,
     bipartite_to_dict,
     dumps_canonical,
@@ -20,7 +21,7 @@ from hyperexpand.serialize import (
     load_graph_file,
 )
 
-from helpers import disjoint_matchings
+from helpers import disjoint_matchings, dumps_by_recursion, edgelist_loads_by_lines, outcome
 
 
 class TestFormatFloat:
@@ -261,3 +262,163 @@ class TestLoadGraphFile:
         path.write_text('{"config":{},"result":{"ramanujan":true}}')
         with pytest.raises(ValueError, match="no graph payload"):
             load_graph_file(path)
+
+
+# Separators str.split() accepts, some of which are not ASCII.
+gaps = st.text(alphabet=" \t\x1f\xa0\u3000", min_size=1, max_size=3)
+pads = st.text(alphabet=" \t\xa0", max_size=2)
+
+
+@st.composite
+def id_tokens(draw, v: int):
+    """v as int() reads it: plain, signed, zero-padded, underscored, or in
+    non-ASCII digits (the last two only on the line-by-line path)."""
+    form = draw(st.sampled_from(["plain", "plus", "zeros", "underscore", "arabic"]))
+    if form == "plus":
+        return f"+{v}"
+    if form == "zeros" and v >= 0:
+        return f"00{v}"
+    if form == "underscore" and v >= 10:
+        return f"{str(v)[0]}_{str(v)[1:]}"
+    if form == "arabic" and v >= 0:
+        return str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+    return str(v)
+
+
+# Lines that break an edge list, one per defect kind the parsers name.
+defect_lines = st.sampled_from([
+    "9 0",  # out of range under a header
+    "-1 0",  # negative
+    "0 -5",
+    "99999999999999999999 1",  # beyond int64
+    "1 -99999999999999999999",
+    "2 2",  # self-loop
+    "1 0",  # duplicate in either orientation of an edge drawn below
+    "0 1",
+    "3",  # one token
+    "0 1 2",  # three tokens
+    "0 x",  # non-integer tokens
+    "1.0 2",
+    "0x1 2",
+    "1e3 0",
+    "0 1 # trailing comment",
+    "# n=5",  # a header, misplaced after an edge line
+    "# n=abc",  # malformed headers
+    "#n=",
+    "# n = 1.5",
+])
+
+
+@st.composite
+def edge_list_texts(draw, defects=0):
+    """Edge-list text of a simple graph: edges in random order and
+    orientation, tokens in every form int() takes, ragged whitespace,
+    blank and comment lines, maybe a header; then `defects` lines from
+    defect_lines inserted anywhere."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = []
+    for u, v in edges:
+        u, v = (v, u) if draw(st.booleans()) else (u, v)
+        lines.append(draw(pads) + draw(id_tokens(u)) + draw(gaps) + draw(id_tokens(v)) + draw(pads))
+    extras = st.sampled_from(["", "   ", "# generation=7", "  # 0 1", "#"])
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(extras))
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(["# n={}", "#n={}", "  # n = {}"])).format(n + draw(st.integers(0, 2)))
+        lines.insert(0, header)
+    for _ in range(defects):
+        lines.insert(draw(st.integers(0, len(lines))), draw(defect_lines))
+    end = draw(st.sampled_from(["\n", "", "\r\n"]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + end
+
+
+class TestArrayParserMatchesLines:
+    """edgelist_loads against the line-by-line reference in helpers.py:
+    the same Graph, or the same exception type and message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_valid_text(self, text):
+        want = edgelist_loads_by_lines(text)
+        assert edgelist_loads(text) == want
+
+    @settings(max_examples=800, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: edge_list_texts(defects=k)))
+    def test_defects(self, text):
+        assert outcome(edgelist_loads, text) == outcome(edgelist_loads_by_lines, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789 -+#n=x\t\n\xa0٣_", max_size=40))
+    def test_arbitrary_text(self, text):
+        assert outcome(edgelist_loads, text) == outcome(edgelist_loads_by_lines, text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# n=3\n0 3\n", "edges: (0, 3) out of range for n=3"),
+            ("0 1\n1 1\n", "edges: self-loop (1, 1) not allowed"),
+            ("0 1\n1 0\n", "edges: duplicate edge (1, 0)"),
+            ("0 1\n2\n", "invalid edge line: '2'"),
+            ("0 1\n# n=5\n", "malformed field 'n': edge-list header '# n=5' follows an edge line"),
+            ("# n=x\n", "malformed field 'n' in edge-list header '# n=x'"),
+        ],
+    )
+    def test_messages(self, text, message):
+        with pytest.raises(ValueError) as err:
+            edgelist_loads(text)
+        assert str(err.value) == message
+
+    def test_ids_past_int64(self):
+        with pytest.raises(ValueError, match=r"^edges: \(0, 9223372036854775808\) out of range for n=4$"):
+            edgelist_loads("# n=4\n0 9223372036854775808\n")
+        with pytest.raises(ValueError, match="^vertex count n=9223372036854775809 exceeds"):
+            edgelist_loads("0 9223372036854775808\n")
+
+
+# JSON values of every kind dumps_canonical writes.
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.1, 1e16, -0.0, 2.0, 1 / 3]),
+        st.text(max_size=5),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+int_values = st.recursive(
+    st.one_of(st.booleans(), st.integers(-(2**70), 2**70)),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestCanonicalJsonMatchesRecursion:
+    """dumps_canonical against the recursive reference in helpers.py."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(json_values)
+    def test_mixed_payloads(self, obj):
+        assert dumps_canonical(obj) == dumps_by_recursion(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(int_values, max_size=6), json_values)
+    def test_int_list_fields(self, ints, other):
+        payload = {"edges": IntList(ints), "other": other, "mask": IntList([True, False, 1])}
+        plain = {"edges": ints, "other": other, "mask": [True, False, 1]}
+        assert dumps_canonical(payload) == dumps_by_recursion(plain)
+        assert payload == plain
+
+    def test_payload_builders_mark_int_fields(self):
+        b = make_bipartite_expander(2, 2, 1, [[1, 0]])
+        assert type(graph_to_dict(cycle_graph(4))["edges"]) is IntList
+        assert type(bipartite_to_dict(b)["matchings"]) is IntList
+        assert bipartite_to_dict(b)["matchings"] == [[1, 0]]

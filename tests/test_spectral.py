@@ -167,6 +167,19 @@ class TestBipartiteRoute:
         assert_multiset_close(adjacency_eigenvalues(cycle_graph(n)), cycle_spectrum(n))
 
 
+    @pytest.mark.parametrize("g", [cycle_graph(8), petersen_graph()], ids=["C8", "Petersen"])
+    def test_analyze_two_colours_once(self, g, monkeypatch):
+        import hyperexpand.spectral as spectral
+
+        calls = []
+        real = spectral.bipartition
+        monkeypatch.setattr(spectral, "bipartition", lambda h: calls.append(h) or real(h))
+        report = analyze(g)
+        assert calls == [g]
+        assert report.is_bipartite is (real(g) is not None)
+        assert report.eigenvalues == tuple(adjacency_eigenvalues(g).tolist())
+
+
 class TestDenseCap:
     def test_cap_covers_benchmark_sizes(self):
         assert MAX_DENSE_N >= 8192
