@@ -173,6 +173,11 @@ def softmax_cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return loss, dlogits, probs
 
 
+def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Share of rows whose largest logit is the target class."""
+    return float((logits.argmax(axis=1) == targets).mean())
+
+
 def loss_and_gradients(
     model: GinModel,
     feats: np.ndarray,
@@ -190,6 +195,5 @@ def loss_and_gradients(
         ws = Workspace()
     logits, caches = forward_batch(model, feats, adj_orig, biadj, ws)
     loss, dlogits, _ = softmax_cross_entropy(logits, targets)
-    accuracy = float((logits.argmax(axis=1) == targets).mean())
     grads = backward_batch(model, dlogits, caches, ws)
-    return loss, accuracy, grads
+    return loss, accuracy(logits, targets), grads

@@ -17,7 +17,15 @@ from ..graphs import Graph
 from ..rewire import LayerKind, layer_schedule
 from ..rng import SplitMix64, derive_seed
 from .layers import HyperedgeMode, Workspace
-from .model import GinModel, build_model, loss_and_gradients, named_parameters
+from .model import (
+    GinModel,
+    accuracy,
+    build_model,
+    forward_batch,
+    loss_and_gradients,
+    named_parameters,
+    softmax_cross_entropy,
+)
 from .treematch import MAX_DEPTH, make_dataset, tree_graph
 
 DATA_STREAM = 0x64617461
@@ -192,15 +200,20 @@ class _Optimizer:
 
 
 def _evaluate(model: GinModel, batch: _Batch, ws: Workspace) -> tuple[float, float]:
-    loss, acc, _ = loss_and_gradients(model, batch.feats, batch.targets, batch.adj_orig, batch.biadj, ws)
-    return loss, acc
+    """(loss, accuracy) of one forward pass; no gradients."""
+    logits, _ = forward_batch(model, batch.feats, batch.adj_orig, batch.biadj, ws)
+    loss, _, _ = softmax_cross_entropy(logits, batch.targets)
+    return loss, accuracy(logits, batch.targets)
 
 
 def train(cfg: TrainConfig) -> TrainResult:
     """Runs cfg.epochs passes; history rows are metrics before each update.
 
     final_loss/final_accuracy evaluate the trained parameters after the
-    last update. Raises TrainingDiverged on a non-finite loss.
+    last update, with a forward pass only. Raises TrainingDiverged on a
+    non-finite loss. The run's Workspace splits large batches across the
+    CPUs in the affinity mask; its threads end before train returns or
+    raises, and the results do not depend on how many there were.
     """
     data, in_dim, num_classes = _prepare_data(cfg)
     schedule = (
@@ -217,35 +230,35 @@ def train(cfg: TrainConfig) -> TrainResult:
         seed=cfg.seed,
     )
     opt = _Optimizer(cfg, model)
-    ws = Workspace()
     size = data.feats.shape[0]
     step = size if cfg.batch_size <= 0 else min(cfg.batch_size, size)
     losses: list[float] = []
     accuracies: list[float] = []
-    for epoch in range(1, cfg.epochs + 1):
-        epoch_loss = 0.0
-        epoch_hits = 0.0
+    with Workspace() as ws:  # its split threads end with the block
+        for epoch in range(1, cfg.epochs + 1):
+            epoch_loss = 0.0
+            epoch_hits = 0.0
+            try:
+                for lo in range(0, size, step):
+                    part = _slice(data, lo, lo + step)
+                    count = part.feats.shape[0]
+                    loss, acc, grads = loss_and_gradients(
+                        model, part.feats, part.targets, part.adj_orig, part.biadj, ws
+                    )
+                    epoch_loss += loss * count
+                    epoch_hits += acc * count
+                    opt.step(model, grads)
+            except FloatingPointError:
+                raise TrainingDiverged(epoch) from None
+            loss = epoch_loss / size
+            if not np.isfinite(loss):
+                raise TrainingDiverged(epoch)
+            losses.append(loss)
+            accuracies.append(epoch_hits / size)
         try:
-            for lo in range(0, size, step):
-                part = _slice(data, lo, lo + step)
-                count = part.feats.shape[0]
-                loss, acc, grads = loss_and_gradients(
-                    model, part.feats, part.targets, part.adj_orig, part.biadj, ws
-                )
-                epoch_loss += loss * count
-                epoch_hits += acc * count
-                opt.step(model, grads)
+            final_loss, final_acc = _evaluate(model, data, ws)
         except FloatingPointError:
-            raise TrainingDiverged(epoch) from None
-        loss = epoch_loss / size
-        if not np.isfinite(loss):
-            raise TrainingDiverged(epoch)
-        losses.append(loss)
-        accuracies.append(epoch_hits / size)
-    try:
-        final_loss, final_acc = _evaluate(model, data, ws)
-    except FloatingPointError:
-        raise TrainingDiverged(cfg.epochs) from None
+            raise TrainingDiverged(cfg.epochs) from None
     return TrainResult(
         config=cfg,
         losses=losses,

@@ -62,6 +62,15 @@ class Graph:
         return a
 
 
+def check_vertex_count(n: int) -> int:
+    """n, if build_graph accepts it as a vertex count; else a GraphError."""
+    if n < 0:
+        raise GraphError(f"vertex count n must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
+    return n
+
+
 def build_graph(n: int, edges) -> Graph:
     """Build a validated Graph from an edge list.
 
@@ -73,10 +82,7 @@ def build_graph(n: int, edges) -> Graph:
     sorted adjacency comes from one sort of the arcs keyed by
     (source, target).
     """
-    if n < 0:
-        raise GraphError(f"vertex count n must be non-negative, got {n}")
-    if n > MAX_VERTICES:
-        raise GraphError(f"vertex count n={n} exceeds MAX_VERTICES={MAX_VERTICES}")
+    check_vertex_count(n)
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     a = _id_pairs(pairs)
     m = len(a)

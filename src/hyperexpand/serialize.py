@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import BipartiteExpander, Graph, build_graph, make_bipartite_expander
+from .graphs import BipartiteExpander, Graph, build_graph, check_vertex_count, make_bipartite_expander
 
 GRAPH_FORMAT = "hyperexpand-graph-v1"
 BIPARTITE_FORMAT = "hyperexpand-bipartite-v1"
@@ -109,10 +109,26 @@ def graph_to_dict(g: Graph) -> dict:
     return {"format": GRAPH_FORMAT, "n": g.n, "edges": IntList(g.edge_array().tolist())}
 
 
+def _integer(value) -> int:
+    """A count as JSON parsed it: an int, not a float, string or bool."""
+    if type(value) is not int:
+        raise TypeError(f"must be an integer, got {value!r}")
+    return value
+
+
+def _without_bools(rows):
+    """rows (a list of id lists) as JSON parsed it, refusing true and
+    false: bool is an int subclass, so the id checks would read 1 and 0.
+    Other non-integer ids are named by the validation the rows go to."""
+    if any(type(x) is bool for row in rows if isinstance(row, list) for x in row):
+        raise TypeError("ids must be integers, got a boolean")
+    return rows
+
+
 def graph_from_dict(d: dict) -> Graph:
     _check_format(d, GRAPH_FORMAT)
-    n = payload_field(d, "n", int)
-    return build_graph(n, payload_field(d, "edges", lambda es: [(int(u), int(v)) for u, v in es]))
+    n = payload_field(d, "n", lambda value: check_vertex_count(_integer(value)))
+    return payload_field(d, "edges", lambda edges: build_graph(n, _without_bools(edges)))
 
 
 def bipartite_to_dict(b: BipartiteExpander) -> dict:
@@ -128,10 +144,10 @@ def bipartite_to_dict(b: BipartiteExpander) -> dict:
 def bipartite_from_dict(d: dict) -> BipartiteExpander:
     _check_format(d, BIPARTITE_FORMAT)
     return make_bipartite_expander(
-        payload_field(d, "n_left", int),
-        payload_field(d, "n_right", int),
-        payload_field(d, "k", int),
-        payload_field(d, "matchings", lambda ms: [[int(x) for x in m] for m in ms]),
+        payload_field(d, "n_left", _integer),
+        payload_field(d, "n_right", _integer),
+        payload_field(d, "k", _integer),
+        payload_field(d, "matchings", _without_bools),
     )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hyperexpand.graphs import (
     cycle_graph,
     build_graph,
 )
-from hyperexpand.rewire import rewired_from_dict
+from hyperexpand.rewire import augment, rewired_from_dict
 from hyperexpand.serialize import (
     bipartite_from_dict,
     dumps_canonical,
@@ -47,13 +48,16 @@ def no_eigensolve(monkeypatch):
     monkeypatch.setattr("hyperexpand.oracle.adjacency_eigenvalues", refuse)
 
 
-def run_module(argv, address_space=None):
+def run_module(argv, address_space=None, cpus=None):
     """Run `python -m hyperexpand argv` in a child process that finds this
-    source tree; address_space caps the child's memory in bytes."""
+    source tree; address_space caps the child's memory in bytes, and cpus
+    sets the child's CPU affinity mask."""
 
     def cap():
         if address_space is not None:
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
 
     return subprocess.run(
         [sys.executable, "-m", "hyperexpand", *argv],
@@ -358,6 +362,34 @@ class TestMalformedPayload:
         assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
         assert "matching 1 is not a permutation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload,field",
+        [
+            ({"format": "hyperexpand-graph-v1", "n": 3.9, "edges": [[0, 1.7], ["2", True]]}, "'n'"),
+            ({"format": "hyperexpand-graph-v1", "n": 3.0, "edges": [[0, 1]]}, "'n'"),
+            ({"format": "hyperexpand-graph-v1", "n": "3", "edges": [[0, 1]]}, "'n'"),
+            ({"format": "hyperexpand-graph-v1", "n": 3, "edges": [[0, 1.0]]}, "(0, 1.0) ids must be integers"),
+            ({"format": "hyperexpand-graph-v1", "n": 3, "edges": [[0, 1.7]]}, "(0, 1.7) ids must be integers"),
+            ({"format": "hyperexpand-graph-v1", "n": 3, "edges": [[0, "2"]]}, "(0, '2') ids must be integers"),
+            ({"format": "hyperexpand-graph-v1", "n": 3, "edges": [[0, 1], [2, True]]}, "'edges'"),
+            ({"format": "hyperexpand-bipartite-v1", "n_left": 2, "n_right": 2, "k": 1.0,
+              "matchings": [[1, 0]]}, "'k'"),
+            ({"format": "hyperexpand-bipartite-v1", "n_left": 2.0, "n_right": 2, "k": 1,
+              "matchings": [[1, 0]]}, "'n_left'"),
+            ({"format": "hyperexpand-bipartite-v1", "n_left": 2, "n_right": True, "k": 1,
+              "matchings": [[1, 0]]}, "'n_right'"),
+            ({"format": "hyperexpand-bipartite-v1", "n_left": 2, "n_right": 2, "k": 1,
+              "matchings": [[1.0, 0]]}, "matching 0 is not a permutation"),
+            ({"format": "hyperexpand-bipartite-v1", "n_left": 3, "n_right": 3, "k": 1,
+              "matchings": [[1, True, 2]]}, "'matchings'"),
+        ],
+    )
+    def test_non_integer_values_exit_1_naming_the_field(self, tmp_path, capsys, payload, field):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))
+        assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
+        assert field in capsys.readouterr().err
+
     def test_internal_type_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise TypeError("internal bug")
@@ -405,6 +437,19 @@ class TestRewire:
         assert inst.total_nodes == 8
         assert inst.expander.matchings == ((2, 1, 3, 0), (0, 2, 1, 3), (1, 3, 0, 2))
         assert payload["result"]["schedule"] == ["original", "expander"] * 3
+
+    def test_written_files_load_to_the_same_objects(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        want = k_regular_bipartite(GeneratorConfig(n=12, k=3, seed=8))
+        generate = ["generate", "--n", "12", "--k", "3", "--seed", "8"]
+        assert entry(generate + ["--out", "g.json"]) == EXIT_OK
+        assert entry(generate + ["--format", "edgelist", "--out", "g.edges"]) == EXIT_OK
+        assert bipartite_from_dict(json.loads((tmp_path / "g.json").read_text())["result"]["expander"]) == want
+        assert load_graph_file("g.json") == load_graph_file("g.edges") == want.to_graph()
+        for source in ("g.json", "g.edges"):
+            assert entry(["rewire", "--in", source, "--seed", "2", "--out", "r.json"]) == EXIT_OK
+            inst = rewired_from_dict(json.loads((tmp_path / "r.json").read_text())["result"])
+            assert inst == augment(want.to_graph(), GeneratorConfig(n=24, k=3, seed=2))
 
     def test_single_node_graph(self, tmp_path):
         path = write_graph(tmp_path, "one.json", build_graph(1, []))
@@ -519,6 +564,19 @@ class TestTrain:
         assert entry(TINY_TRAIN + ["--seeds", "1,x"]) == EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
 
+
+    def test_output_independent_of_cpu_count(self, tmp_path):
+        # at depth 5 over 300 samples every kernel of a split-enabled run splits
+        argv = ["train", "--depth", "5", "--rewire", "--epochs", "1", "--dataset-size", "300",
+                "--seed", "3"]
+        cpus = os.sched_getaffinity(0)
+        outs = []
+        for label, mask in (("one", {min(cpus)}), ("all", cpus)):
+            out = tmp_path / f"{label}.json"
+            proc = run_module([*argv, "--out", str(out)], cpus=mask)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestTrainMemoryLimit:

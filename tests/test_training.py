@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hyperexpand.gnn import layers
 from hyperexpand.gnn.layers import HyperedgeMode, Workspace
-from hyperexpand.gnn.model import build_model, forward_batch, loss_and_gradients
+from hyperexpand.gnn.model import build_model, forward_batch, loss_and_gradients, named_parameters
 from hyperexpand.gnn.training import (
     MAX_TRAIN_BYTES,
     TrainConfig,
@@ -370,3 +373,125 @@ class TestWorkspace:
         _, second = forward_batch(model, data.feats[:4], data.adj_orig, data.biadj[:4], ws)
         # the second pass wrote into the first pass's buffers
         assert np.shares_memory(first[1], second[1])
+
+
+@pytest.fixture
+def split_everything(monkeypatch):
+    """Every kernel splits, over three threads whatever the CPU count."""
+    monkeypatch.setattr(layers, "_SPLIT_MIN_FLOATS", 0)
+    monkeypatch.setattr(layers, "_WORKERS", 3)
+
+
+class TestBatchSplit:
+    """An entered workspace splits each kernel's per-sample ops across
+    threads; the numbers must be exactly those of one unsplit pass."""
+
+    # depth 3 with hidden 8: layer 0 reads 17 input features, so scratch
+    # "c" holds d a1 (width 8) and then dz * h_self (width 17)
+    @pytest.mark.parametrize("variant", ["plain", "summation", "learned"])
+    def test_pass_matches_unsplit(self, variant, split_everything):
+        extra = {} if variant == "plain" else {"rewire": True, "hyperedge_mode": HyperedgeMode(variant)}
+        cfg = TrainConfig(depth=3, hidden_dim=8, dataset_size=23, seed=2, **extra)
+        data, in_dim, num_classes = _prepare_data(cfg)
+        schedule = layer_schedule(3) if cfg.rewire else (LayerKind.ORIGINAL,) * 3
+        model = build_model(in_dim, 8, num_classes, schedule, mode=cfg.hyperedge_mode, seed=2)
+        assert in_dim > cfg.hidden_dim
+        args = (model, data.feats, data.targets, data.adj_orig, data.biadj)
+        want_logits, _ = forward_batch(model, data.feats, data.adj_orig, data.biadj)
+        want_loss, want_acc, want = loss_and_gradients(*args)
+        with Workspace() as ws:
+            for _ in range(2):  # the second pass reuses the first one's buffers
+                logits, _ = forward_batch(model, data.feats, data.adj_orig, data.biadj, ws)
+                assert np.array_equal(logits, want_logits)
+                loss, acc, grads = loss_and_gradients(*args, ws)
+                assert (loss, acc) == (want_loss, want_acc)
+                assert grads.keys() == want.keys()
+                assert all(np.array_equal(grads[name], want[name]) for name in want)
+
+    @pytest.mark.parametrize("variant", ["plain", "summation", "learned"])
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_training_matches_unsplit(self, variant, optimizer, monkeypatch):
+        extra = {} if variant == "plain" else {"rewire": True, "hyperedge_mode": HyperedgeMode(variant)}
+        if optimizer == "adam":  # minibatches of 20 over 50 samples: a ragged last batch of 10
+            extra.update(optimizer="adam", learning_rate=0.005, batch_size=20)
+        cfg = TrainConfig(depth=3, hidden_dim=8, epochs=3, dataset_size=50, seed=4, **extra)
+        want = train(cfg)
+        monkeypatch.setattr(layers, "_SPLIT_MIN_FLOATS", 0)
+        monkeypatch.setattr(layers, "_WORKERS", 2)
+        got = train(cfg)
+        assert got.losses == want.losses and got.accuracies == want.accuracies
+        assert (got.final_loss, got.final_accuracy) == (want.final_loss, want.final_accuracy)
+        params = zip(named_parameters(got.model), named_parameters(want.model))
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in params)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(layers, "_SPLIT_MIN_FLOATS", 0)
+        cfg = TrainConfig(depth=2, hidden_dim=4, epochs=2, dataset_size=30, seed=6, batch_size=7,
+                          rewire=True, hyperedge_mode=HyperedgeMode.LEARNED)
+        want = train(cfg)
+        monkeypatch.setattr(layers, "_WORKERS", 4 * layers._WORKERS + 1)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.append(train(cfg)), daemon=True)
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "split training did not finish within 120 s"
+        assert results[0].losses == want.losses and results[0].final_loss == want.final_loss
+
+    def test_worker_error_reaches_the_caller(self, split_everything):
+        def run(s):
+            if s.start > 0:
+                raise FloatingPointError("in a helper")
+
+        with Workspace() as ws:
+            with pytest.raises(FloatingPointError, match="in a helper"):
+                ws.split(run, np.zeros((6, 1, 1)))
+            ws.split(lambda s: None, np.zeros((6, 1, 1)))  # the helpers still serve
+
+    def test_errstate_holds_in_the_helpers(self, split_everything):
+        def run(s):
+            if s.start > 0:  # only the helpers divide
+                np.divide(np.ones(2), 0.0)
+
+        with Workspace() as ws, np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError):
+                ws.split(run, np.zeros((6, 1, 1)))
+
+
+@pytest.mark.usefixtures("split_everything")
+class TestSplitThreads:
+    """The split threads live exactly as long as the training run."""
+
+    def test_entered_workspace_owns_its_threads(self):
+        before = threading.active_count()
+        assert Workspace().take("x", (2,)).shape == (2,) and threading.active_count() == before
+        with Workspace():
+            assert threading.active_count() == before + 2
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_train(self):
+        before = threading.active_count()
+        train(tiny(rewire=True, epochs=2))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_divergence(self):
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged):
+                train(tiny(learning_rate=1e6, epochs=50))
+        assert threading.active_count() == before
+
+    def test_unentered_workspace_runs_inline(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread started")
+
+        monkeypatch.setattr(layers, "_Helper", refuse)
+        cfg = tiny(rewire=True)
+        data, in_dim, num_classes = _prepare_data(cfg)
+        model = build_model(in_dim, 8, num_classes, layer_schedule(2), seed=0)
+        loss_and_gradients(model, data.feats, data.targets, data.adj_orig, data.biadj)
+        loss_and_gradients(model, data.feats, data.targets, data.adj_orig, data.biadj, Workspace())
