@@ -10,6 +10,12 @@ Construction stays in the matchings' own form: the accepted permutations
 fill a (k, n) array, a collision is one array compare against its rows,
 and validation and the connectivity check run on that array; no derived
 2n-vertex Graph is built until a caller asks for one.
+
+`k_regular_bipartite` draws one instance, one whole permutation at a
+time. `k_regular_bipartite_batch` draws many small instances together as
+a (B, k, n) array: every round gives each unfinished instance its next
+permutation, collisions and connectivity are masked per instance, and
+each row equals what `k_regular_bipartite` returns for its seed.
 """
 
 from __future__ import annotations
@@ -18,8 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, BipartiteExpander, make_bipartite_expander
-from .rng import SplitMix64, derive_seed
+from .graphs import (
+    MAX_VERTICES,
+    BipartiteExpander,
+    check_matching_array,
+    connected_rows,
+    make_bipartite_expander,
+)
+from .rng import SplitMix64, derive_seed, derive_seeds, permutation_rows
 from .spectral import (
     DEFAULT_TOLERANCE,
     SpectralReport,
@@ -96,6 +108,27 @@ def random_perfect_matching(n: int, rng: SplitMix64) -> tuple[int, ...]:
     return tuple(rng.permutation(n))
 
 
+def _budget_exhausted(cfg: GeneratorConfig, stage: str, count: int, accepted: int = 0) -> RetryBudgetExhausted:
+    """The error of a k_regular_bipartite draw that ran out of its budget:
+    count matching resamples (with accepted matchings kept so far) or
+    count whole-graph redraws."""
+    if stage == "matching":
+        return RetryBudgetExhausted(
+            "matching",
+            count,
+            f"no {cfg.k} disjoint matchings after {count} resamples "
+            f"(budget {cfg.max_matching_retries}); had {accepted} so far",
+            matching_retries=count,
+        )
+    return RetryBudgetExhausted(
+        "connectivity",
+        count,
+        f"no connected graph after {count} whole-graph redraws "
+        f"(budget {cfg.max_matching_retries})",
+        graph_redraws=count,
+    )
+
+
 def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> np.ndarray:
     """k pairwise edge-disjoint matchings as the rows of a (k, n) array."""
     matchings = np.empty((cfg.k, cfg.n), dtype=np.int64)
@@ -105,13 +138,7 @@ def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> np.ndarra
         if (matchings[:accepted] == p).any():
             retries += 1
             if retries > cfg.max_matching_retries:
-                raise RetryBudgetExhausted(
-                    "matching",
-                    retries,
-                    f"no {cfg.k} disjoint matchings after {retries} resamples "
-                    f"(budget {cfg.max_matching_retries}); had {accepted} so far",
-                    matching_retries=retries,
-                )
+                raise _budget_exhausted(cfg, "matching", retries, accepted)
             continue
         matchings[accepted] = p
         accepted += 1
@@ -135,13 +162,74 @@ def k_regular_bipartite(cfg: GeneratorConfig) -> BipartiteExpander:
             return expander
         redraws += 1
         if redraws > cfg.max_matching_retries:
-            raise RetryBudgetExhausted(
-                "connectivity",
-                redraws,
-                f"no connected graph after {redraws} whole-graph redraws "
-                f"(budget {cfg.max_matching_retries})",
-                graph_redraws=redraws,
-            )
+            raise _budget_exhausted(cfg, "connectivity", redraws)
+
+
+def k_regular_bipartite_batch(cfg: GeneratorConfig, seeds) -> np.ndarray:
+    """k_regular_bipartite for every seed at once, as a (B, k, n) int64 array.
+
+    seeds is a sequence of seeds in 0..2^64-1 (a uint64 array or ints).
+    Row i holds the matchings of k_regular_bipartite(replace(cfg,
+    seed=seeds[i])); cfg.seed itself is not read. The generator states
+    are one uint64 vector. Each round draws the next permutation of every
+    unfinished instance (rng.permutation_rows), compares it with that
+    instance's accepted matchings in one masked compare, and checks every
+    instance it completes with one breadth-first search over their
+    matchings. Retry and redraw counts are kept per instance, and a
+    disconnected instance restarts from derive_seed(seed, redraws) with
+    its counts reset, as the per-instance loop does.
+
+    If instances run out of a budget, the error is the one
+    k_regular_bipartite raises for the lowest-index failing seed, raised
+    once every instance before it has finished. The result gets
+    make_bipartite_expander's checks before it is returned. Meant for
+    many small instances: at large n one instance is faster through
+    k_regular_bipartite.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    n, k, budget = cfg.n, cfg.k, cfg.max_matching_retries
+    out = np.full((len(seeds), k, n), -1, dtype=np.int64)
+    state = derive_seeds(seeds, np.zeros_like(seeds))
+    accepted = np.zeros(len(seeds), dtype=np.int64)
+    retries = np.zeros_like(accepted)
+    redraws = np.zeros_like(accepted)
+    active = np.ones(len(seeds), dtype=bool)
+    failure: tuple[int, RetryBudgetExhausted] | None = None
+
+    def fail(i: int, err: RetryBudgetExhausted) -> None:
+        nonlocal failure
+        if failure is None or i < failure[0]:
+            failure = (i, err)
+            active[i:] = False  # instances after it can no longer be the error
+
+    while (rows := np.flatnonzero(active)).size:
+        perms, state[rows] = permutation_rows(state[rows], n)
+        hit = (out[rows] == perms[:, None, :]).any(axis=(1, 2))
+        retries[rows[hit]] += 1
+        for i in rows[hit][retries[rows[hit]] > budget]:
+            fail(i, _budget_exhausted(cfg, "matching", int(retries[i]), int(accepted[i])))
+        keep = rows[~hit]
+        out[keep, accepted[keep]] = perms[~hit]
+        accepted[keep] += 1
+        done = keep[accepted[keep] == k]
+        if not cfg.connectivity_required:
+            active[done] = False
+            continue
+        connected = connected_rows(out[done], np.argsort(out[done], axis=2))
+        active[done[connected]] = False
+        redo = done[~connected]
+        redraws[redo] += 1
+        for i in redo:
+            if redraws[i] > budget:
+                fail(i, _budget_exhausted(cfg, "connectivity", int(redraws[i])))
+            else:
+                state[i] = derive_seed(int(seeds[i]), int(redraws[i]))
+        out[redo] = -1
+        accepted[redo] = retries[redo] = 0
+    if failure is not None:
+        raise failure[1]
+    check_matching_array(out)
+    return out
 
 
 def ramanujan_bipartite(

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..construct import GeneratorConfig, k_regular_bipartite
-from ..graphs import Graph
+from ..construct import GeneratorConfig, k_regular_bipartite_batch
+from ..graphs import matching_biadjacency
 from ..rewire import LayerKind, layer_schedule
-from ..rng import SplitMix64, derive_seed
+from ..rng import SplitMix64, derive_seed, derive_seeds
 from .layers import HyperedgeMode, Workspace
 from .model import (
     GinModel,
@@ -124,29 +124,30 @@ class _Batch:
 
 
 def _prepare_data(cfg: TrainConfig) -> tuple[_Batch, int, int]:
-    """Returns (batch over the whole dataset, in_dim, num_classes)."""
-    rng = SplitMix64(derive_seed(cfg.seed, DATA_STREAM))
-    instances = make_dataset(cfg.depth, cfg.dataset_size, rng)
-    tree: Graph = tree_graph(cfg.depth)
-    in_dim = instances[0].feature_dim
-    num_classes = instances[0].num_classes
-    raw = np.stack([inst.encode_features() for inst in instances])
-    targets = np.array([inst.target_label for inst in instances], dtype=np.int64)
-    if not cfg.rewire:
-        return _Batch(raw, targets, tree.adjacency_matrix(), None), in_dim, num_classes
+    """Returns (batch over the whole dataset, in_dim, num_classes).
 
-    # One expander per instance, seeded from the instance index.
+    Set-up works on whole arrays: make_dataset draws every instance in
+    one block, the features are one scatter, and a rewired run draws its
+    per-instance overlays (instance i seeded derive_seed(root, i)) with
+    one k_regular_bipartite_batch call and scatters them into the
+    (B, n, n) biadjacency. Each array equals the per-instance
+    construction bit for bit.
+    """
+    rng = SplitMix64(derive_seed(cfg.seed, DATA_STREAM))
+    data = make_dataset(cfg.depth, cfg.dataset_size, rng)
+    tree = tree_graph(cfg.depth)
+    feats = data.features(2 * tree.n if cfg.rewire else tree.n)
+    in_dim, num_classes = feats.shape[2], 2**cfg.depth
+    if not cfg.rewire:
+        return _Batch(feats, data.targets(), tree.adjacency_matrix(), None), in_dim, num_classes
+
     root = derive_seed(cfg.seed, EXPANDER_STREAM)
-    k = min(cfg.expander_k, tree.n)
-    biadj = np.zeros((cfg.dataset_size, tree.n, tree.n))
-    for i in range(cfg.dataset_size):
-        gen = GeneratorConfig(n=tree.n, k=k, seed=derive_seed(root, i))
-        biadj[i] = k_regular_bipartite(gen).biadjacency()
-    feats = np.zeros((cfg.dataset_size, 2 * tree.n, in_dim))
-    feats[:, : tree.n, :] = raw
+    gen = GeneratorConfig(n=tree.n, k=min(cfg.expander_k, tree.n))
+    seeds = derive_seeds(np.uint64(root), np.arange(cfg.dataset_size, dtype=np.uint64))
+    biadj = matching_biadjacency(k_regular_bipartite_batch(gen, seeds))
     adj_aug = np.zeros((2 * tree.n, 2 * tree.n))
     adj_aug[: tree.n, : tree.n] = tree.adjacency_matrix()
-    return _Batch(feats, targets, adj_aug, biadj), in_dim, num_classes
+    return _Batch(feats, data.targets(), adj_aug, biadj), in_dim, num_classes
 
 
 def _slice(batch: _Batch, lo: int, hi: int) -> _Batch:

@@ -272,29 +272,47 @@ class BipartiteExpander:
         return np.stack((left, right.ravel()), axis=1)
 
     def is_connected(self) -> bool:
-        """Whether to_graph() is connected, without building it.
-
-        Breadth-first from left 0: each round marks the rights next to a
-        reached left (through the inverses), then the lefts next to those,
-        until no left is added. Every right has a left neighbour, so all
-        lefts reached means all vertices reached.
-        """
+        """Whether to_graph() is connected, without building it."""
         m, inv = self._perms
-        left = np.zeros(self.n_left, dtype=bool)
-        left[0] = True
-        reached = 0
-        while (now := int(np.count_nonzero(left))) > reached:
-            reached = now
-            left = left[inv].any(axis=0)[m].any(axis=0)
-        return reached == self.n_left
+        return bool(connected_rows(m[None], inv[None])[0])
 
     def biadjacency(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_right, n_left)."""
-        b = np.zeros((self.n_right, self.n_left), dtype=np.float64)
-        for m in self.matchings:
-            for l, r in enumerate(m):
-                b[r, l] = 1.0
-        return b
+        return matching_biadjacency(self._perms[0])
+
+
+def connected_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """For (R, k, n) matchings m and their inverses inv, whether each
+    row's derived 2n-vertex graph is connected, as an (R,) bool array.
+
+    Breadth-first from left 0 in every row at once: each round marks the
+    rights next to a reached left (through the inverses), then the lefts
+    next to those, until no row adds a left. Every right has a left
+    neighbour, so all lefts reached means all vertices reached.
+    """
+    rows, _, n = m.shape
+    if rows > 1:  # one row's indices are already flat; at large n a copy costs megabytes
+        row_start = (np.arange(rows) * n)[:, None, None]
+        m, inv = m + row_start, inv + row_start  # flat indices into (R, n)
+    left = np.zeros((rows, n), dtype=bool)
+    left[:, 0] = True
+    reached = np.zeros(rows, dtype=np.int64)
+    while ((now := np.count_nonzero(left, axis=1)) > reached).any():
+        reached = now
+        right = left.ravel()[inv].any(axis=1)
+        left = right.ravel()[m].any(axis=1)
+    return reached == n
+
+
+def matching_biadjacency(m: np.ndarray) -> np.ndarray:
+    """The 0/1 incidence matrices of (..., k, n) matchings, as (..., n, n)
+    float64: entry [..., r, l] is 1 where a matching joins left l to
+    right r. One scatter into the flattened matrices."""
+    *lead, k, n = m.shape
+    flat = m.reshape(-1, k * n)
+    b = np.zeros((flat.shape[0], n * n))
+    np.put_along_axis(b, flat * n + np.tile(np.arange(n), k), 1.0, axis=1)
+    return b.reshape(*lead, n, n)
 
 
 def _permutation_rows(rows: list[np.ndarray], n: int) -> np.ndarray:
@@ -306,7 +324,7 @@ def _permutation_rows(rows: list[np.ndarray], n: int) -> np.ndarray:
         len(rows),
     )
     a = np.array(rows[:fit], dtype=np.int64).reshape(fit, n)  # ids past int64 wrap out of range
-    bad = np.flatnonzero((np.sort(a, axis=1) != np.arange(n)).any(axis=1))
+    bad = np.flatnonzero(_non_permutations(a))
     first = int(bad[0]) if bad.size else fit
     if first < len(rows):
         raise GraphError(f"matching {first} is not a permutation of 0..{n - 1}")
@@ -339,7 +357,7 @@ def make_bipartite_expander(
     if len(rows) != k:
         raise GraphError(f"expected {k} matchings, got {len(rows)}")
     a = _permutation_rows(rows, n_left)
-    shared = np.flatnonzero((np.diff(np.sort(a, axis=0), axis=0) == 0).any(axis=0))
+    shared = np.flatnonzero(_shared_columns(a))
     if shared.size:
         for i, j in itertools.combinations(range(k), 2):
             hit = np.flatnonzero(a[i, shared] == a[j, shared])
@@ -348,6 +366,31 @@ def make_bipartite_expander(
                 raise GraphError(f"matchings {i} and {j} share edge ({l}, {a[i, l]})")
     ms = tuple(map(tuple, a.tolist()))
     return BipartiteExpander(n_left=n_left, n_right=n_right, k=k, matchings=ms)
+
+
+def _non_permutations(a: np.ndarray) -> np.ndarray:
+    """Over (..., k, n) rows: which are not permutations of 0..n-1."""
+    return (np.sort(a, axis=-1) != np.arange(a.shape[-1])).any(axis=-1)
+
+
+def _shared_columns(a: np.ndarray) -> np.ndarray:
+    """Over (..., k, n) matchings: which left vertices two rows send to
+    the same right (equal neighbours in a column-wise sort)."""
+    return (np.diff(np.sort(a, axis=-2), axis=-2) == 0).any(axis=-2)
+
+
+def check_matching_array(a: np.ndarray) -> None:
+    """Validate (B, k, n) int64 matchings with make_bipartite_expander's
+    whole-array checks, all instances at once. A GraphError names the
+    first bad instance and then, as make_bipartite_expander does, its
+    first offending matching or shared edge."""
+    _, k, n = a.shape
+    bad = np.flatnonzero(_non_permutations(a).any(axis=1) | _shared_columns(a).any(axis=1))
+    if bad.size:
+        try:
+            make_bipartite_expander(n, n, k, a[bad[0]])
+        except GraphError as e:
+            raise GraphError(f"instance {bad[0]}: {e}") from None
 
 
 # Named small families used throughout tests, demos, and bound verification.

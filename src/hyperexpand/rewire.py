@@ -17,6 +17,7 @@ from .graphs import BipartiteExpander, Graph, build_graph
 from .serialize import (
     REWIRED_FORMAT,
     IntList,
+    _integer,
     bipartite_from_dict,
     bipartite_to_dict,
     graph_from_dict,
@@ -76,14 +77,23 @@ class RewiredInstance:
         }
 
 
+def _bools(mask) -> tuple[bool, ...]:
+    """A mask as JSON parsed it: a list of true and false only."""
+    if not isinstance(mask, (list, tuple)) or any(type(b) is not bool for b in mask):
+        raise TypeError(f"must be a list of booleans, got {mask!r}")
+    return tuple(mask)
+
+
 def rewired_from_dict(data: dict) -> RewiredInstance:
+    """Load a rewire payload; the counts must be true integers and the
+    mask true booleans, and a bad field is a ValueError naming it."""
     if data.get("format") != REWIRED_FORMAT:
         raise ValueError(f"expected format {REWIRED_FORMAT!r}, got {data.get('format')!r}")
     return RewiredInstance(
         original=graph_from_dict(payload_field(data, "original")),
         expander=bipartite_from_dict(payload_field(data, "expander")),
-        total_nodes=payload_field(data, "total_nodes", int),
-        hyperedge_mask=payload_field(data, "hyperedge_mask", lambda m: tuple(bool(b) for b in m)),
+        total_nodes=payload_field(data, "total_nodes", _integer),
+        hyperedge_mask=payload_field(data, "hyperedge_mask", _bools),
         schedule=payload_field(data, "schedule", lambda s: tuple(LayerKind(x) for x in s)),
     )
 

@@ -16,6 +16,11 @@ the block stops there, the scalar `next_below` redraws, and the block
 resumes after it, so the permutation and the generator's end state equal
 the scalar path's bit for bit. Below _BLOCK_MIN_N elements numpy's
 per-call cost outweighs the saving and the scalar loop runs instead.
+
+Many small permutations are drawn together as rows: `permutation_rows`
+takes one block per state, and `fisher_yates_rows` runs the swaps of all
+rows at once, one column step per Fisher-Yates step. Each row equals
+what `permutation` returns for its state.
 """
 
 from __future__ import annotations
@@ -55,6 +60,11 @@ def derive_seed(seed: int, stream: int) -> int:
     seeds, so every retry is reproducible from the top-level seed.
     """
     return _mix((seed & _MASK) ^ _mix(((stream + 1) * _GAMMA) & _MASK))
+
+
+def derive_seeds(seeds: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """derive_seed over uint64 arrays (broadcast together), bit for bit."""
+    return _mix_block(seeds ^ _mix_block((streams + np.uint64(1)) * np.uint64(_GAMMA)))
 
 
 class SplitMix64:
@@ -118,3 +128,45 @@ class SplitMix64:
         for i, j in zip(range(n - 1, 0, -1), js):
             perm[i], perm[j] = perm[j], perm[i]
         return perm
+
+
+def fisher_yates_rows(js: np.ndarray) -> np.ndarray:
+    """Rows of permutations from their Fisher-Yates indices.
+
+    js is (R, n-1): row r holds the draws below n, n-1, ..., 2 that
+    SplitMix64.permutation(n) would take. Step t swaps position n-1-t
+    with js[:, t] in every row at once, so row r of the (R, n) result
+    equals that permutation. The swaps run on the transposed (n, R)
+    array, where position i of every row is one contiguous line.
+    """
+    rows, n = js.shape[0], js.shape[1] + 1
+    perm = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, rows))
+    flat = perm.reshape(-1)
+    at = js.T.astype(np.intp) * rows + np.arange(rows)  # flat index of (js[r, t], r)
+    for t, j in enumerate(at):
+        i = n - 1 - t
+        held = flat[j]
+        flat[j] = perm[i]
+        perm[i] = held
+    return perm.T
+
+
+def permutation_rows(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """[SplitMix64(s).permutation(n) for s in states] as an (R, n) array,
+    with the states those generators end in.
+
+    Every row's n-1 draws are one block, mix(s + step * gamma). A row
+    whose block holds a draw that next_below would reject is redrawn by
+    its scalar generator, so every row and end state is exact.
+    """
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    rem = (np.uint64(0) - bounds) % bounds
+    steps = np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
+    x = _mix_block(states[:, None] + steps)
+    perms = fisher_yates_rows(x % bounds)
+    after = states + np.uint64(((n - 1) * _GAMMA) & _MASK)
+    for r in np.flatnonzero((x + rem < x).any(axis=1)):
+        rng = SplitMix64(int(states[r]))
+        perms[r] = rng.permutation(n)
+        after[r] = rng._state
+    return perms, after

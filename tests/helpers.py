@@ -6,10 +6,15 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
 
 import hyperexpand
+from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
+from hyperexpand.gnn.training import DATA_STREAM, EXPANDER_STREAM, TrainConfig
+from hyperexpand.gnn.treematch import TreeMatchInstance, leaf_ids, tree_graph
 from hyperexpand.graphs import MAX_VERTICES, BipartiteExpander, Graph, GraphError, build_graph
+from hyperexpand.rng import _GAMMA, _MASK, SplitMix64, _mix, derive_seed
 from hyperexpand.serialize import format_float
 
 
@@ -170,3 +175,102 @@ def outcome(fn, *args):
         return fn(*args)
     except Exception as e:  # noqa: BLE001 - the exception is the outcome
         return type(e), str(e)
+
+
+def biadjacency_by_loop(b: BipartiteExpander) -> np.ndarray:
+    """The (n_right, n_left) incidence matrix set entry by entry: the
+    reference for the one-scatter biadjacency."""
+    out = np.zeros((b.n_right, b.n_left), dtype=np.float64)
+    for m in b.matchings:
+        for l, r in enumerate(m):
+            out[r, l] = 1.0
+    return out
+
+
+def tree_match_by_loop(depth: int, rng: SplitMix64) -> TreeMatchInstance:
+    """One Tree-NeighborsMatch instance from two rng.permutation calls and
+    a next_below, filled in node by node: the reference for the block
+    draws of make_dataset."""
+    tree = tree_graph(depth)
+    leaves = list(leaf_ids(depth))
+    num_leaves = len(leaves)
+    leaf_counts = [p + 1 for p in rng.permutation(num_leaves)]
+    leaf_labels = rng.permutation(num_leaves)
+    chosen = rng.next_below(num_leaves)
+    counts = [0] * tree.n
+    labels: list[int | None] = [None] * tree.n
+    for leaf, c, lab in zip(leaves, leaf_counts, leaf_labels):
+        counts[leaf] = c
+        labels[leaf] = lab
+    counts[0] = leaf_counts[chosen]
+    return TreeMatchInstance(
+        depth=depth,
+        tree=tree,
+        counts=tuple(counts),
+        labels=tuple(labels),
+        root_id=0,
+        target_label=leaf_labels[chosen],
+    )
+
+
+def features_by_loop(inst: TreeMatchInstance) -> np.ndarray:
+    """encode_features one node at a time: the reference for the scatter."""
+    width_counts = 2**inst.depth + 1
+    feats = np.zeros((inst.tree.n, inst.feature_dim))
+    for v in range(inst.tree.n):
+        feats[v, inst.counts[v]] = 1.0
+        if inst.labels[v] is not None:
+            feats[v, width_counts + inst.labels[v]] = 1.0
+    return feats
+
+
+def prepare_data_by_instance(cfg: TrainConfig):
+    """(feats, targets, adj, biadj) of training._prepare_data, built one
+    instance at a time: tree_match_by_loop and features_by_loop per
+    sample, and one k_regular_bipartite call per overlay."""
+    rng = SplitMix64(derive_seed(cfg.seed, DATA_STREAM))
+    instances = [tree_match_by_loop(cfg.depth, rng) for _ in range(cfg.dataset_size)]
+    tree = tree_graph(cfg.depth)
+    raw = np.stack([features_by_loop(inst) for inst in instances])
+    targets = np.array([inst.target_label for inst in instances], dtype=np.int64)
+    if not cfg.rewire:
+        return raw, targets, tree.adjacency_matrix(), None
+    root = derive_seed(cfg.seed, EXPANDER_STREAM)
+    k = min(cfg.expander_k, tree.n)
+    biadj = np.stack([
+        biadjacency_by_loop(k_regular_bipartite(GeneratorConfig(n=tree.n, k=k, seed=derive_seed(root, i))))
+        for i in range(cfg.dataset_size)
+    ])
+    feats = np.zeros((cfg.dataset_size, 2 * tree.n, raw.shape[2]))
+    feats[:, : tree.n] = raw
+    adj = np.zeros((2 * tree.n, 2 * tree.n))
+    adj[: tree.n, : tree.n] = tree.adjacency_matrix()
+    return feats, targets, adj, biadj
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    x = y
+    for _ in range(64 // shift + 1):
+        x = y ^ (x >> shift)
+    return x
+
+
+def unmix(z: int) -> int:
+    """The inverse of the SplitMix64 scrambler: _mix(unmix(z)) == z."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK
+    return _unxorshift(z, 30)
+
+
+def state_drawing_max_at(step: int) -> int:
+    """A generator state whose draw number `step` (1-based) is 2^64 - 1,
+    which next_below rejects for every bound that is not a power of 2."""
+    return (unmix(_MASK) - step * _GAMMA) & _MASK
+
+
+def seed_rejecting_first_draw() -> int:
+    """A seed s whose stream derive_seed(s, 0) starts with the draw
+    2^64 - 1, so a first permutation below n (not a power of 2) rejects."""
+    return unmix(state_drawing_max_at(1)) ^ _mix(_GAMMA)

@@ -205,6 +205,30 @@ class TestGoldenBuildScale:
         assert got == self.GOLDEN
 
 
+class TestGoldenTrain:
+    """Byte goldens of rewired train runs, recorded with the per-instance
+    set-up (one make_dataset draw and one k_regular_bipartite call per
+    sample) before the whole-array set-up replaced it. The files hold
+    float64 losses, so the runs go to a child with one BLAS thread."""
+
+    GOLDEN = {
+        "d2-summation": "63ae2557cf6eb6b78186030cd3e6aa9b43bd9774078578eb59f1a9544587fc72",
+        "d2-learned": "d4770276c4d462b621f1d3bfe58f92e062bfaeb847b2231d279ff92d1ab956a3",
+        "d5-summation": "006988d7d8d149aa368ca29153b21a25360049d26bd0418c116858455662e732",
+        "d5-learned": "a4799920de388e37e72df049ccae6c294fbbce0ad141cf30701a0dd4f2155dd0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_train_sha256(self, name, tmp_path):
+        depth, mode = name[1], name[3:]
+        size = {"2": ["--epochs", "2", "--dataset-size", "48"], "5": ["--epochs", "1", "--dataset-size", "24"]}
+        out = tmp_path / f"{name}.json"
+        proc = run_module(["train", "--layers", "3", "--hidden", "8", "--seed", "6", "--depth", depth,
+                           *size[depth], "--rewire", "--mode", mode, "--out", str(out)])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[name]
+
+
 class TestAnalyze:
     def test_k33(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from hyperexpand.construct import (
     GeneratorConfig,
     RetryBudgetExhausted,
     k_regular_bipartite,
+    k_regular_bipartite_batch,
     ramanujan_bipartite,
     random_perfect_matching,
 )
-from hyperexpand.graphs import MAX_VERTICES, bipartition, is_connected, is_k_regular
-from hyperexpand.rng import SplitMix64
+from hyperexpand.graphs import MAX_VERTICES, GraphError, bipartition, check_matching_array, is_connected, is_k_regular
+from hyperexpand.rng import SplitMix64, derive_seed
 from hyperexpand.spectral import alon_boppana_reference, analyze
+
+from helpers import seed_rejecting_first_draw
 
 
 def assert_valid(expander, n, k):
@@ -183,3 +189,121 @@ class TestRamanujanBipartite:
         for seed in range(5):
             expander, _, _ = ramanujan_bipartite(GeneratorConfig(n=6, k=2, seed=seed))
             assert is_connected(expander.to_graph())
+
+
+def per_instance(cfg: GeneratorConfig, seeds) -> list:
+    """k_regular_bipartite for each seed: a (k, n) array, or the
+    RetryBudgetExhausted it raised."""
+    outs = []
+    for s in seeds:
+        try:
+            outs.append(np.array(k_regular_bipartite(replace(cfg, seed=int(s))).matchings))
+        except RetryBudgetExhausted as e:
+            outs.append(e)
+    return outs
+
+
+def error_fields(e: RetryBudgetExhausted) -> tuple:
+    return (type(e), str(e), e.stage, e.attempts, e.matching_retries, e.graph_redraws, e.best_lambda, e.bound)
+
+
+def assert_batch_matches(cfg: GeneratorConfig, seeds) -> None:
+    """The batch equals the per-instance loop: every row if all seeds
+    succeed, else the error of the lowest-index failing seed; and the
+    seeds that succeed, drawn as a batch on their own, give their rows."""
+    outs = per_instance(cfg, seeds)
+    failed = [i for i, o in enumerate(outs) if isinstance(o, RetryBudgetExhausted)]
+    if failed:
+        with pytest.raises(RetryBudgetExhausted) as err:
+            k_regular_bipartite_batch(cfg, seeds)
+        assert error_fields(err.value) == error_fields(outs[failed[0]])
+    ok = [i for i, o in enumerate(outs) if not isinstance(o, RetryBudgetExhausted)]
+    if ok:
+        got = k_regular_bipartite_batch(cfg, [seeds[i] for i in ok])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.stack([outs[i] for i in ok]))
+
+
+BATCH_SIDES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 31, 63]
+
+
+def batch_seeds(n: int, k: int) -> list[int]:
+    """Seeds for one (n, k): a first seed whose first draw is rejected,
+    then derived ones (fewer at the larger sides)."""
+    count = 8 if n <= 9 else 3
+    return [seed_rejecting_first_draw()] + [derive_seed(1000 * n + k, i) for i in range(count - 1)]
+
+
+class TestBatch:
+    """k_regular_bipartite_batch against per-instance k_regular_bipartite
+    calls: 2061 seeds over every k in 1..n in the first test alone."""
+
+    @pytest.mark.parametrize("require_connected", [True, False, None])
+    @pytest.mark.parametrize("n", BATCH_SIDES)
+    def test_rows_equal_per_instance(self, n, require_connected):
+        for k in range(1, n + 1):
+            # Past k=4 most draws at the larger sides run out of any budget,
+            # and k <= 2 redraws disconnected graphs often; a small budget
+            # keeps those runs short and exercises both errors.
+            budget = 1000 if 3 <= k <= 4 else 40
+            cfg = GeneratorConfig(n=n, k=k, max_matching_retries=budget, require_connected=require_connected)
+            assert_batch_matches(cfg, batch_seeds(n, k))
+
+    @pytest.mark.parametrize("n", [7, 63])
+    def test_row_with_rejected_draw(self, n):
+        seed = seed_rejecting_first_draw()
+        assert SplitMix64(derive_seed(seed, 0)).next_u64() == 2**64 - 1  # next_below(n) rejects it
+        seeds = [3, seed, 4]
+        got = k_regular_bipartite_batch(GeneratorConfig(n=n, k=3), seeds)
+        for row, s in zip(got, seeds):
+            assert row.tolist() == list(map(list, k_regular_bipartite(GeneratorConfig(n=n, k=3, seed=s)).matchings))
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_budget_exhaustion_is_the_lowest_failing_index(self, n, budget):
+        # at k = n most draws exhaust a budget of 0 or 1; every rotation
+        # of the seeds puts a different instance first
+        cfg = GeneratorConfig(n=n, k=n, max_matching_retries=budget)
+        seeds = [derive_seed(n, i) for i in range(12)]
+        for shift in range(len(seeds)):
+            assert_batch_matches(cfg, seeds[shift:] + seeds[:shift])
+
+    def test_lower_index_failing_late_wins(self):
+        # instance 0 runs out of its budget after five draws, instance 1
+        # after three; the batch raises instance 0's error all the same
+        cfg = GeneratorConfig(n=5, k=5, max_matching_retries=1)
+        outs = dict(enumerate(per_instance(cfg, range(300))))
+
+        def failing_with(accepted):
+            return next(s for s, o in outs.items()
+                        if isinstance(o, RetryBudgetExhausted) and str(o).endswith(f"had {accepted} so far"))
+
+        late, early = failing_with(3), failing_with(1)
+        with pytest.raises(RetryBudgetExhausted, match="had 3 so far$") as err:
+            k_regular_bipartite_batch(cfg, [late, early])
+        assert error_fields(err.value) == error_fields(outs[late])
+
+    @pytest.mark.parametrize("n", [31, 63])
+    def test_counts_reset_on_redraw(self, n):
+        # k=2 is connected about once in n draws; carried-over resample
+        # counts would exhaust a budget of 40 that a fresh count does not
+        cfg = GeneratorConfig(n=n, k=2, max_matching_retries=40)
+        seeds = list(range(12))
+        for shift in range(0, 12, 3):
+            assert_batch_matches(cfg, seeds[shift:] + seeds[:shift])
+
+    def test_connectivity_exhaustion(self):
+        # k=1 on n >= 2 is never connected
+        cfg = GeneratorConfig(n=3, k=1, require_connected=True, max_matching_retries=2)
+        with pytest.raises(RetryBudgetExhausted) as err:
+            k_regular_bipartite_batch(cfg, [5, 6])
+        assert error_fields(err.value) == error_fields(per_instance(cfg, [5])[0])
+        assert err.value.stage == "connectivity" and err.value.graph_redraws == 3
+
+    def test_validated_by_make_bipartite_expander_checks(self):
+        a = np.array([[[0, 1, 2], [1, 2, 0]], [[0, 1, 2], [0, 2, 1]]])
+        with pytest.raises(GraphError, match=r"^instance 1: matchings 0 and 1 share edge \(0, 0\)$"):
+            check_matching_array(a)
+        a[1, 1] = [1, 1, 0]
+        with pytest.raises(GraphError, match=r"^instance 1: matching 1 is not a permutation of 0..2$"):
+            check_matching_array(a)

@@ -17,15 +17,18 @@ from hyperexpand.graphs import (
     circular_ladder_graph,
     complete_bipartite_graph,
     complete_graph,
+    connected_rows,
     cycle_graph,
     is_connected,
     is_k_regular,
     make_bipartite_expander,
+    matching_biadjacency,
     path_graph,
     petersen_graph,
 )
 
 from helpers import (
+    biadjacency_by_loop,
     build_graph_by_loop,
     disjoint_matchings,
     disjoint_union,
@@ -326,6 +329,23 @@ class TestMatchingNative:
     def test_ragged_row_named(self):
         with pytest.raises(GraphError, match="^matching 1 is not a permutation of 0..2$"):
             make_bipartite_expander(3, 3, 2, ((0, 1, 2), (1, 2)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_matchings())
+    def test_biadjacency_is_one_scatter(self, case):
+        n, ms = case
+        b = make_bipartite_expander(n, n, len(ms), ms)
+        want = biadjacency_by_loop(b)
+        assert np.array_equal(b.biadjacency(), want) and b.biadjacency().dtype == want.dtype
+        batch = matching_biadjacency(np.array([ms, ms[::-1]]))
+        assert np.array_equal(batch, np.stack([want, want]))
+
+    def test_connected_rows_per_row(self):
+        rows = [((0, 1, 2, 3), (1, 0, 3, 2)), ((0, 1, 2, 3), (1, 2, 3, 0)), ((0, 1, 2, 3), (3, 2, 1, 0))]
+        m = np.array(rows)
+        inv = np.argsort(m, axis=2)
+        want = [make_bipartite_expander(4, 4, 2, r).is_connected() for r in rows]
+        assert connected_rows(m, inv).tolist() == want == [False, True, False]
 
     def test_disconnected_union(self):
         # two 2-cycles: lefts {0, 1} and {2, 3} never meet

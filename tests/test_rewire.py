@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from hyperexpand.rewire import (
     layer_schedule,
     rewired_from_dict,
 )
+from hyperexpand.serialize import dumps_canonical
 
 
 class TestLayerSchedule:
@@ -207,6 +210,30 @@ class TestRewiredInstance:
         d[field] = None
         with pytest.raises(ValueError, match=f"'{field}'"):
             rewired_from_dict(d)
+
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("total_nodes", 8.9),
+            ("total_nodes", 8.0),
+            ("total_nodes", True),
+            ("total_nodes", "8"),
+            ("hyperedge_mask", [False] * 4 + [True] * 2 + ["yes", 1]),
+            ("hyperedge_mask", [0] * 4 + [1] * 4),
+            ("hyperedge_mask", "yes"),
+        ],
+    )
+    def test_envelope_refuses_coercion(self, inst, field, value):
+        d = inst.to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=f"^malformed field '{field}'"):
+            rewired_from_dict(d)
+
+    def test_envelope_round_trip_through_json_text(self, inst):
+        back = rewired_from_dict(json.loads(dumps_canonical(inst.to_dict())))
+        assert back == inst
+        assert all(type(b) is bool for b in back.hyperedge_mask) and type(back.total_nodes) is int
 
 
 class TestReachability:

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperexpand.rng import _BLOCK_MIN_N, _GAMMA, _MASK, SplitMix64, derive_seed
+from hyperexpand.rng import _BLOCK_MIN_N, _GAMMA, _MASK, SplitMix64, derive_seed, derive_seeds, permutation_rows
+
+from helpers import state_drawing_max_at
 
 
 def test_known_stream_is_stable():
@@ -126,3 +128,22 @@ def test_block_draws_through_rejections(seed):
     assert block._state == scalar._state
     # rejected draws advanced the counter past one step per bound
     assert block._state != (seed + len(bounds) * _GAMMA) & _MASK
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 63, 100])
+def test_permutation_rows_match_permutation(n):
+    # the last state's first draw is 2^64 - 1, which next_below(n) rejects
+    # unless n is a power of 2
+    states = [0, 7, 2**64 - 1, *(derive_seed(n, i) for i in range(20)), state_drawing_max_at(1)]
+    perms, after = permutation_rows(np.array(states, dtype=np.uint64), n)
+    for row, end, s in zip(perms.tolist(), after.tolist(), states):
+        r = SplitMix64(s)
+        assert row == r.permutation(n)
+        assert end == r._state
+
+
+def test_derive_seeds_match_derive_seed():
+    seeds = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    streams = np.arange(5, dtype=np.uint64)[:, None]
+    got = derive_seeds(seeds, streams)
+    assert got.tolist() == [[derive_seed(int(s), int(t)) for s in seeds] for t in streams[:, 0]]

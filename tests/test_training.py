@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hyperexpand import construct
 from hyperexpand.gnn import layers
 from hyperexpand.gnn.layers import HyperedgeMode, Workspace
 from hyperexpand.gnn.model import build_model, forward_batch, loss_and_gradients, named_parameters
@@ -17,8 +18,11 @@ from hyperexpand.gnn.training import (
     _prepare_data,
     train,
 )
-from hyperexpand.gnn.treematch import MAX_DEPTH
+from hyperexpand.gnn.treematch import MAX_DEPTH, TreeMatchInstance
+from hyperexpand.graphs import BipartiteExpander
 from hyperexpand.rewire import LayerKind, layer_schedule
+
+from helpers import prepare_data_by_instance
 
 
 def tiny(**overrides):
@@ -181,6 +185,36 @@ class TestRewiredTraining:
         # depth-1 trees have 3 nodes; k=3 still works by clamping
         res = train(tiny(epochs=2, rewire=True, expander_k=5))
         assert np.isfinite(res.final_loss)
+
+
+class TestPrepareData:
+    """_prepare_data's whole-array set-up against the per-instance
+    construction (prepare_data_by_instance in helpers.py)."""
+
+    @pytest.mark.parametrize("rewire", [False, True])
+    @pytest.mark.parametrize("depth,seed,k", [(2, 1, 3), (2, 8, 2), (5, 2, 3), (5, 5, 4)])
+    def test_arrays_equal_per_instance(self, depth, seed, k, rewire):
+        cfg = TrainConfig(depth=depth, dataset_size=150, seed=seed, rewire=rewire, expander_k=k)
+        batch, in_dim, num_classes = _prepare_data(cfg)
+        feats, targets, adj, biadj = prepare_data_by_instance(cfg)
+        assert (in_dim, num_classes) == (feats.shape[2], 2**depth)
+        for got, want in ((batch.feats, feats), (batch.targets, targets), (batch.adj_orig, adj)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if rewire:
+            assert batch.biadj.dtype == biadj.dtype and np.array_equal(batch.biadj, biadj)
+        else:
+            assert batch.biadj is None
+
+    @pytest.mark.parametrize("rewire", [False, True])
+    def test_no_per_instance_construction(self, rewire, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-instance call during _prepare_data")
+
+        monkeypatch.setattr(construct, "k_regular_bipartite", refuse)
+        monkeypatch.setattr(BipartiteExpander, "biadjacency", refuse)
+        monkeypatch.setattr(TreeMatchInstance, "encode_features", refuse)
+        batch, _, _ = _prepare_data(TrainConfig(depth=2, dataset_size=50, rewire=rewire))
+        assert batch.feats.shape[0] == 50
 
 
 # Loss histories of depth-2 runs (10 epochs, 64 instances, seed 3) at

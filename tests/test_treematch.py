@@ -11,7 +11,9 @@ from hyperexpand.gnn.treematch import (
     tree_graph,
 )
 from hyperexpand.graphs import bfs_diameter, is_connected
-from hyperexpand.rng import SplitMix64
+from hyperexpand.rng import _GAMMA, _MASK, SplitMix64
+
+from helpers import features_by_loop, state_drawing_max_at, tree_match_by_loop
 
 
 class TestTreeGraph:
@@ -150,3 +152,39 @@ class TestDataset:
     def test_size_validated(self):
         with pytest.raises(ValueError, match="size"):
             make_dataset(2, 0, SplitMix64(7))
+
+
+class TestDatasetBlock:
+    """make_dataset's one block of draws against instance-by-instance
+    draws (tree_match_by_loop in helpers.py)."""
+
+    @pytest.mark.parametrize("depth", range(1, MAX_DEPTH + 1))
+    def test_matches_per_instance_draws(self, depth):
+        size = 12 if depth <= 6 else 3
+        for state in (0, 7, 2**64 - 1, state_drawing_max_at(2)):
+            block, loop = SplitMix64(state), SplitMix64(state)
+            data = make_dataset(depth, size, block)
+            want = [tree_match_by_loop(depth, loop) for _ in range(size)]
+            assert list(data) == want
+            assert block._state == loop._state
+            n = tree_graph(depth).n
+            assert np.array_equal(data.features(n), np.stack([features_by_loop(i) for i in want]))
+            assert np.array_equal(data.features(2 * n)[:, n:], np.zeros((size, n, 2 ** (depth + 1) + 1)))
+            assert data.targets().tolist() == [i.target_label for i in want]
+            assert all(np.array_equal(i.encode_features(), features_by_loop(i)) for i in want)
+
+    @pytest.mark.parametrize("depth", range(2, MAX_DEPTH + 1))
+    def test_rejected_draw_is_redrawn(self, depth):
+        # the second draw, below 2^depth - 1 (not a power of 2), is 2^64 - 1
+        start = state_drawing_max_at(2)
+        block, loop = SplitMix64(start), SplitMix64(start)
+        data = make_dataset(depth, 2, block)
+        assert list(data) == [tree_match_by_loop(depth, loop) for _ in range(2)]
+        assert block._state == loop._state
+        draws = 2 * (2 ** (depth + 1) - 1)  # two instances, none rejected
+        assert block._state == (start + (draws + 1) * _GAMMA) & _MASK
+
+    def test_single_instance_is_the_size_one_dataset(self):
+        a, b = SplitMix64(11), SplitMix64(11)
+        assert generate_tree_match(4, a) == make_dataset(4, 1, b)[0]
+        assert a._state == b._state
