@@ -101,11 +101,12 @@ class GeneratorConfig:
         return self.require_connected
 
 
-def random_perfect_matching(n: int, rng: SplitMix64) -> tuple[int, ...]:
-    """Uniform perfect matching of side size n: left l matched to perm[l]."""
+def random_perfect_matching(n: int, rng: SplitMix64) -> np.ndarray:
+    """Uniform perfect matching of side size n: left l matched to perm[l],
+    as an int64 array."""
     if n < 1:
         raise ValueError(f"matching needs n >= 1, got {n}")
-    return tuple(rng.permutation(n))
+    return rng.permutation(n)
 
 
 def _budget_exhausted(cfg: GeneratorConfig, stage: str, count: int, accepted: int = 0) -> RetryBudgetExhausted:
@@ -134,7 +135,7 @@ def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> np.ndarra
     matchings = np.empty((cfg.k, cfg.n), dtype=np.int64)
     accepted = retries = 0
     while accepted < cfg.k:
-        p = np.fromiter(random_perfect_matching(cfg.n, rng), np.int64, cfg.n)
+        p = random_perfect_matching(cfg.n, rng)
         if (matchings[:accepted] == p).any():
             retries += 1
             if retries > cfg.max_matching_retries:

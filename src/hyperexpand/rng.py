@@ -17,6 +17,19 @@ resumes after it, so the permutation and the generator's end state equal
 the scalar path's bit for bit. Below _BLOCK_MIN_N elements numpy's
 per-call cost outweighs the saving and the scalar loop runs instead.
 
+The swaps of one long permutation then run as whole-array ops, after
+the chain argument of Shun, Gu, Blelloch, Fineman & Gibbons (2015),
+"Sequential random permutation, list contraction and tree contraction
+are highly parallel". Step t swaps position i_t = n-1-t with j_t <= i_t,
+and no later step touches i_t, so the final entry at i_t is what
+position j_t held just before step t: the value that the latest earlier
+step with the same j wrote there, or j_t itself. That step s wrote the
+value position i_s held just before step s, which in turn is the value
+written by the latest earlier step whose j equals i_s, or i_s itself.
+These "latest earlier step" links point strictly backwards, so pointer
+doubling resolves every chain in at most ceil(log2 n) + 1 rounds; the
+links come from one sort of the unique keys (j, t). See _swap_chains.
+
 Many small permutations are drawn together as rows: `permutation_rows`
 takes one block per state, and `fisher_yates_rows` runs the swaps of all
 rows at once, one column step per Fisher-Yates step. Each row equals
@@ -29,9 +42,10 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# Smallest permutation drawn from a numpy block; measured break-even with
-# the scalar loop is near n=24 (permutation(7): 4.6 us scalar, 13.7 us block).
-_BLOCK_MIN_N = 24
+# Smallest permutation drawn from a numpy block and _swap_chains; measured
+# break-even with the scalar loop is near n=64 (47.7-49.7 us scalar against
+# 49.0-51.8 us block at n=63-65; the block wins from n=68 on).
+_BLOCK_MIN_N = 64
 
 
 def _mix_block(z: np.ndarray) -> np.ndarray:
@@ -118,16 +132,59 @@ class SplitMix64:
                 start += 1
         return out
 
-    def permutation(self, n: int) -> list[int]:
-        """Uniformly random permutation of range(n) (Fisher-Yates)."""
+    def permutation(self, n: int) -> np.ndarray:
+        """Uniformly random permutation of range(n) (Fisher-Yates), as an
+        int64 array."""
         if n < _BLOCK_MIN_N:
-            js = [self.next_below(i + 1) for i in range(n - 1, 0, -1)]
-        else:
-            js = self._below_block(np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js):
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+            perm = list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = self.next_below(i + 1)
+                perm[i], perm[j] = perm[j], perm[i]
+            return np.array(perm, dtype=np.int64)
+        js = self._below_block(np.arange(n, 1, -1, dtype=np.uint64))
+        return _swap_chains(js.view(np.int64))[0]  # every draw is below n
+
+
+def _swap_chains(js: np.ndarray) -> tuple[np.ndarray, int]:
+    """The permutation that Fisher-Yates builds from the int64 indices js,
+    with no loop over its steps, and the number of doubling rounds taken.
+
+    js[t] <= i_t = n-1-t is the index step t swaps with i_t (n >= 2). The
+    steps sorted by (j, t) give, per step, q(t): the latest earlier step
+    with the same j, and per position x, the last step with j = x. The
+    latest earlier step whose j equals i_s is p(s): that last step of
+    group i_s, or q(s) when it is s itself (j_s = i_s). With f(s) the
+    value at i_s just before step s, f(s) = f(p(s)), or i_s when p(s)
+    does not exist, and pointer doubling over p finds every chain's root.
+    Then out[i_t] = f(q(t)) or j_t, and out[0] = f(the last step with
+    j = 0) or 0. Equals the swap loop bit for bit.
+    """
+    m = len(js)
+    n = m + 1
+    steps = np.arange(m, dtype=np.int64)
+    shift = m.bit_length()
+    keys = np.sort((js << shift) | steps)  # (j, t) pairs ordered by j, then t
+    sj = keys >> shift
+    st = keys & ((1 << shift) - 1)
+    same = sj[1:] == sj[:-1]
+    q = np.empty(m, dtype=np.int64)
+    q[st[0]] = -1
+    q[st[1:]] = np.where(same, st[:-1], -1)
+    ends = np.append(np.flatnonzero(~same), m - 1)
+    last = np.full(n, -1, dtype=np.int64)
+    last[sj[ends]] = st[ends]
+    p = last[:0:-1]  # last step with j = i_t, for t = 0..m-1
+    p = np.where(p == steps, q, p)
+    ptr = np.where(p >= 0, p, steps)
+    rounds = 1
+    while not np.array_equal(nxt := ptr[ptr], ptr):
+        ptr = nxt
+        rounds += 1
+    f = n - 1 - ptr  # a chain's root s holds its original value i_s
+    out = np.empty(n, dtype=np.int64)
+    out[:0:-1] = np.where(q >= 0, f[q], js)
+    out[0] = f[last[0]] if last[0] >= 0 else 0
+    return out, rounds
 
 
 def fisher_yates_rows(js: np.ndarray) -> np.ndarray:

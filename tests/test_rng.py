@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hyperexpand.rng import _BLOCK_MIN_N, _GAMMA, _MASK, SplitMix64, derive_seed, derive_seeds, permutation_rows
+from hyperexpand.rng import (
+    _BLOCK_MIN_N,
+    _GAMMA,
+    _MASK,
+    SplitMix64,
+    _swap_chains,
+    derive_seed,
+    derive_seeds,
+    permutation_rows,
+)
 
 from helpers import state_drawing_max_at
 
@@ -70,7 +83,7 @@ def test_uniform_bounds():
 def test_permutation_is_permutation():
     r = SplitMix64(5)
     for n in (1, 2, 5, 33):
-        assert sorted(r.permutation(n)) == list(range(n))
+        assert sorted(r.permutation(n).tolist()) == list(range(n))
 
 
 def test_permutation_uniform_over_small_n():
@@ -79,7 +92,7 @@ def test_permutation_uniform_over_small_n():
 
     counts = Counter()
     for seed in range(6000):
-        counts[tuple(SplitMix64(seed).permutation(3))] += 1
+        counts[tuple(SplitMix64(seed).permutation(3).tolist())] += 1
     assert len(counts) == 6
     for c in counts.values():
         assert abs(c - 1000) < 120
@@ -94,7 +107,7 @@ def scalar_permutation(r: SplitMix64, n: int) -> list[int]:
     return perm
 
 
-SIZES = [1, 2, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 63, 1000, 10**5]
+SIZES = [1, 2, 23, 24, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 1000, 4097, 50000, 10**5]
 SEEDS = [0, 7, 2**64 - 1]
 
 
@@ -102,8 +115,66 @@ SEEDS = [0, 7, 2**64 - 1]
 @pytest.mark.parametrize("n", SIZES)
 def test_permutation_matches_scalar_path(n, seed):
     block, scalar = SplitMix64(seed), SplitMix64(seed)
-    assert block.permutation(n) == scalar_permutation(scalar, n)
+    assert block.permutation(n).tolist() == scalar_permutation(scalar, n)
     assert block._state == scalar._state
+
+
+@pytest.mark.parametrize("n", [_BLOCK_MIN_N + 1, 1000, 4097, 50000, 10**5])
+@pytest.mark.parametrize("step", [1, 3, "middle", "last"])
+def test_permutation_through_rejected_draws(n, step):
+    # a state whose draw number `step` is 2^64 - 1, which next_below
+    # rejects for every bound that is not a power of 2
+    step = {"middle": n // 2, "last": n - 2}.get(step, step)
+    assert (n - step + 1) & (n - step) != 0  # draw `step` is below n - step + 1
+    state = state_drawing_max_at(step)
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    assert block.permutation(n).tolist() == scalar_permutation(scalar, n)
+    assert block._state == scalar._state != (state + (n - 1) * _GAMMA) & _MASK
+
+
+def swap_loop(js: list[int]) -> list[int]:
+    """The Fisher-Yates swaps of the indices js, one at a time: the
+    reference for _swap_chains."""
+    n = len(js) + 1
+    perm = list(range(n))
+    for t, j in enumerate(js):
+        i = n - 1 - t
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@st.composite
+def swap_indices(draw, max_n=400):
+    """A valid Fisher-Yates index vector: js[t] in 0..n-1-t."""
+    n = draw(st.integers(2, max_n))
+    return [draw(st.integers(0, n - 1 - t)) for t in range(n - 1)]
+
+
+def assert_swap_chains_match(js: list[int]) -> int:
+    n = len(js) + 1
+    perm, rounds = _swap_chains(np.array(js, dtype=np.int64))
+    assert perm.dtype == np.int64
+    assert perm.tolist() == swap_loop(js)
+    assert rounds <= math.ceil(math.log2(n)) + 1
+    return rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(swap_indices())
+def test_swap_chains_match_swap_loop(js):
+    assert_swap_chains_match(js)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 9, 100, 1000, 1025, 4097, 65536, 10**5])
+def test_swap_chains_on_extreme_patterns(n):
+    # all-zero and j_t = i_t leave every chain one link long; j_t = i_t - 1
+    # links each step to the one before it, the longest chain there is,
+    # which takes ceil(log2(n - 2)) + 1 rounds, at most the bound
+    steps = range(n - 1)
+    assert assert_swap_chains_match([0] * (n - 1)) == 1
+    assert assert_swap_chains_match([n - 1 - t for t in steps]) == 1
+    rounds = assert_swap_chains_match([n - 2 - t for t in steps])
+    assert rounds == (1 if n <= 3 else math.ceil(math.log2(n - 2)) + 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -130,7 +201,7 @@ def test_block_draws_through_rejections(seed):
     assert block._state != (seed + len(bounds) * _GAMMA) & _MASK
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 63, 100])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 23, 24, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 100])
 def test_permutation_rows_match_permutation(n):
     # the last state's first draw is 2^64 - 1, which next_below(n) rejects
     # unless n is a power of 2
@@ -138,7 +209,7 @@ def test_permutation_rows_match_permutation(n):
     perms, after = permutation_rows(np.array(states, dtype=np.uint64), n)
     for row, end, s in zip(perms.tolist(), after.tolist(), states):
         r = SplitMix64(s)
-        assert row == r.permutation(n)
+        assert row == r.permutation(n).tolist()
         assert end == r._state
 
 

@@ -16,6 +16,7 @@ from hyperexpand.gnn.training import (
     TrainConfig,
     TrainingDiverged,
     _prepare_data,
+    _working_set_floats,
     train,
 )
 from hyperexpand.gnn.treematch import MAX_DEPTH, TreeMatchInstance
@@ -96,6 +97,36 @@ class TestMemoryLimit:
     )
     def test_shipped_configs_accepted(self, kw):
         TrainConfig(**kw)
+
+    @pytest.mark.parametrize("mode", list(HyperedgeMode))
+    def test_depth5_rewired_maximum(self, mode):
+        # about 3130 depth-5 rewired samples fit in MAX_TRAIN_BYTES (the
+        # measured peak grows by 85.7k floats per sample); 3100 must pass
+        TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=3100)
+        with pytest.raises(ValueError, match="dataset_size must be <= 31"):
+            TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=5000)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(depth=2),
+            dict(depth=2, rewire=True, hyperedge_mode=HyperedgeMode.LEARNED),
+            dict(depth=5, rewire=True),
+            dict(depth=5, rewire=True, hyperedge_mode=HyperedgeMode.LEARNED),
+            dict(depth=6, rewire=True, hidden_dim=8, hyperedge_mode=HyperedgeMode.LEARNED),
+            dict(depth=3, rewire=True, hidden_dim=64, num_layers=4, optimizer="adam", batch_size=16),
+        ],
+    )
+    def test_measured_peak_within_estimate(self, kw):
+        cfg = TrainConfig(epochs=1, dataset_size=48, **kw)
+        per_sample, fixed = _working_set_floats(cfg)
+        tracemalloc.start()
+        try:
+            train(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (per_sample * cfg.dataset_size + fixed)
 
 
 class TestTrainingLoop:
