@@ -24,7 +24,7 @@ cfg = GeneratorConfig(n=8, k=3, seed=7)
 expander = k_regular_bipartite(cfg)
 print(f"n={cfg.n} k={cfg.k} seed={cfg.seed}")
 for i, matching in enumerate(expander.matchings):
-    print(f"  matching {i}: {matching}")
+    print(f"  matching {i}: {matching.tolist()}")
 
 g = expander.to_graph()
 print(f"as a plain graph: {g.n} vertices, {g.edge_count} edges")
@@ -32,7 +32,7 @@ print(f"regular with degree {is_k_regular(g)}, connected: {is_connected(g)}")
 
 # The same seed always rebuilds the same matchings.
 again = k_regular_bipartite(cfg)
-print(f"deterministic rebuild matches: {again.matchings == expander.matchings}")
+print(f"deterministic rebuild matches: {again == expander}")
 
 # ---------------------------------------------------------------------------
 # Spectral quality of a random draw vs the Ramanujan threshold 2*sqrt(k-1).

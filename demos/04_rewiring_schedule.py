@@ -17,18 +17,19 @@ from hyperexpand.graphs import bfs_diameter, is_connected, path_graph
 from hyperexpand.rewire import LayerKind, augment, layer_schedule
 
 # ---------------------------------------------------------------------------
-# Augment a 7-vertex path. Vertices 0..6 stay as they are; hyperedge nodes
-# 7..13 appear isolated in the original view and carry the expander edges.
+# Augment a 7-vertex path. Vertices 0..6 keep their edges; hyperedge nodes
+# 7..13 have no original edges and carry the expander edges.
 
 g = path_graph(7)
 inst = augment(g, GeneratorConfig(n=7, k=3, seed=11), num_layers=4)
 print(f"path on {g.n} vertices, diameter {bfs_diameter(g)}")
 print(f"rewired instance has {inst.total_nodes} nodes")
-print(f"hyperedge mask: {inst.hyperedge_mask}")
+print(f"hyperedge mask: {inst.hyperedge_mask.tolist()}")
 print(f"expander overlay connected: {is_connected(inst.expander.to_graph())}")
 
 print()
-print("original view edges:", inst.original_view().edges())
+print("original edges (u, v):")
+print(inst.original.edge_array())
 print("overlay edges touch only (vertex, hyperedge) pairs:")
 print(" ", inst.expander.to_graph().edges())
 

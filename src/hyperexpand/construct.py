@@ -250,7 +250,7 @@ def ramanujan_bipartite(
     for attempt in range(1, cfg.max_ramanujan_attempts + 1):
         sub = replace(cfg, seed=derive_seed(cfg.seed, attempt - 1), require_connected=True)
         expander = k_regular_bipartite(sub)
-        report = analyze(expander.to_graph(), tolerance=cfg.tolerance)
+        report = analyze(expander, tolerance=cfg.tolerance)
         lam = report.lambda_nontrivial
         if lam is not None and (best is None or lam < best):
             best = lam

@@ -265,10 +265,10 @@ class Workspace:
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
-        flat = self._flat.get(key)
-        if flat is None or flat.size < size:
-            flat = self._flat[key] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+        if key not in self._flat or self._flat[key].size < size:
+            self._flat.pop(key, None)  # freed before the larger one is allocated, unless a view holds it
+            self._flat[key] = np.empty(size, dtype)
+        return self._flat[key][:size].reshape(shape)
 
     def split(self, run, like: np.ndarray) -> None:
         batch = like.shape[0]
@@ -331,6 +331,9 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
     """
     h_self, z, r = cache
     dy = dout if dout.flags.c_contiguous else ws.take("b", dout.shape)
+    # "c" holds d a1, then the epsilon product: grown for the larger
+    # first, so taking the product does not regrow it while d a1 is live.
+    ws.take("c", max(r.shape, z.shape, key=math.prod))
     da1 = ws.take("c", r.shape)
     off = ws.take("mask", r.shape, bool)
 

@@ -91,24 +91,25 @@ def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
     training workspace grows with the dataset. Per sample, over its rows:
     the padded features and the first layer's z at the input width; the
     scratch arrays "a" and "c" at the wider of the input and hidden
-    widths; 3 * num_layers + 2 hidden-width arrays, plus one more for the
-    hidden-width "c" that stays in use while the first layer's backward
-    pass regrows that key; and the ReLU mask at one byte per hidden entry. Per sample besides: the head's input gradient,
+    widths; 3 * num_layers + 2 hidden-width arrays; and the ReLU mask at
+    one byte per hidden entry. Per sample besides: the head's input gradient,
     the logits, probabilities and their gradient, the target, and the
     n x n expander overlay. Fixed: the dense adjacency over the rows that
-    the batch shares, and at most two GIN MLPs per layer, each weight with
-    its gradient and optimizer arrays.
+    the batch shares, at most two GIN MLPs per layer, each weight with
+    its gradient and optimizer arrays, and 2^14 floats for the run's
+    smaller objects (tracemalloc put them at up to 9k floats, depth 1
+    learned).
     """
     n = 2 ** (cfg.depth + 1) - 1
     in_dim = 2 ** (cfg.depth + 1) + 1
     classes = 2**cfg.depth
     rows = 2 * n if cfg.rewire else n
     hidden, layers = cfg.hidden_dim, cfg.num_layers
-    per_sample = rows * (2 * in_dim + 2 * max(in_dim, hidden) + hidden * (3 * layers + 3))
+    per_sample = rows * (2 * in_dim + 2 * max(in_dim, hidden) + hidden * (3 * layers + 2))
     per_sample += -(-rows * hidden // 8) + hidden + 3 * classes + 1
     if cfg.rewire:
         per_sample += n * n
-    fixed = rows * rows + 12 * layers * (in_dim + hidden) * hidden
+    fixed = rows * rows + 12 * layers * (in_dim + hidden) * hidden + 2**14
     return per_sample, fixed
 
 

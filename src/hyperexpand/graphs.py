@@ -1,8 +1,12 @@
 """Core graph structures: simple graphs and bipartite matching unions.
 
-All types are immutable after construction and safe to share between
-threads.  Adjacency lists are kept sorted ascending so that every
-downstream computation is deterministic given a seed.
+A Graph is stored in compressed sparse row (CSR) form (Saad 2003, ch. 3):
+int64 offsets (n + 1) and neighbors (2m), vertex u's neighbours sorted
+ascending in neighbors[offsets[u]:offsets[u + 1]]. A BipartiteExpander
+holds its k perfect matchings as one (k, n) int64 array. The arrays are
+read-only, so every type is immutable and safe to share between threads.
+Readers work on whole arrays, or on one .tolist() where a Python loop
+beats numpy calls (the breadth-first searches on small graphs).
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,44 +24,72 @@ class GraphError(ValueError):
 
 
 # Largest vertex count any graph may declare. build_graph allocates one
-# adjacency list per vertex, so a larger count (a "# n=" header, a JSON
-# "n", a generator side size) is refused before anything is allocated.
+# offset per vertex, so a larger count (a "# n=" header, a JSON "n", a
+# generator side size) is refused before anything is allocated.
 MAX_VERTICES = 1 << 22
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph with sorted adjacency lists.
+class ArrayRecord:
+    """Base of the frozen dataclasses that hold numpy arrays: the arrays
+    are made read-only, and records compare field by field, arrays by
+    value."""
 
-    Invariants: adjacency is symmetric, has no self-loops or duplicates,
-    and edge_count equals half the sum of the degrees.
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Graph(ArrayRecord):
+    """Undirected simple graph in CSR form.
+
+    Invariants: offsets rise from 0 to 2 * edge_count; each vertex's
+    neighbours are sorted ascending; the arcs are symmetric, with no
+    self-loops or duplicates.
     """
 
     n: int
-    adjacency: tuple[tuple[int, ...], ...]
-    edge_count: int
+    offsets: np.ndarray
+    neighbors: np.ndarray
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.neighbors) // 2
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return np.diff(self.offsets).tolist()
+
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, targets): both directions of every edge, sorted by
+        source, then target."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.offsets)), self.neighbors
+
+    def adjacency_lists(self) -> list[list[int]]:
+        """Each vertex's sorted neighbours as a list of Python ints."""
+        nbrs, ends = self.neighbors.tolist(), self.offsets.tolist()
+        return [nbrs[s:e] for s, e in zip(ends, ends[1:])]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         return list(map(tuple, self.edge_array().tolist()))
 
     def edge_array(self) -> np.ndarray:
-        """edges() as an (edge_count, 2) int64 array, read off the
-        flattened adjacency: arc (u, v) is kept when u < v."""
-        degrees = np.fromiter(map(len, self.adjacency), np.int64, self.n)
-        nbrs = np.fromiter(itertools.chain.from_iterable(self.adjacency), np.int64, int(degrees.sum()))
-        src = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
-        keep = src < nbrs
-        return np.stack((src[keep], nbrs[keep]), axis=1)
+        """edges() as an (edge_count, 2) int64 array: the arcs (u, v)
+        with u < v."""
+        src, dst = self.arcs()
+        keep = src < dst
+        return np.stack((src[keep], dst[keep]), axis=1)
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                a[u, v] = 1.0
+        a[self.arcs()] = 1.0
         return a
 
 
@@ -79,8 +110,7 @@ def build_graph(n: int, edges) -> Graph:
     n, and ids that are not integers, out-of-range ids, self-loops, and
     duplicate edges (in either orientation), naming edges and the first
     offending pair in input order. The checks are whole-array, and the
-    sorted adjacency comes from one sort of the arcs keyed by
-    (source, target).
+    CSR arrays come from one sort of the arcs keyed by (source, target).
     """
     check_vertex_count(n)
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -89,9 +119,19 @@ def build_graph(n: int, edges) -> Graph:
     outside = ((a < 0) | (a >= n)).any(axis=1)
     bad = np.flatnonzero(outside | (a[:, 0] == a[:, 1]))
     first = int(bad[0]) if bad.size else m
-    # Before the first range or loop defect every id is in range, so
-    # lo * n + hi names an undirected edge; a stable sort puts each
-    # repeat after its first occurrence.
+    if first == m == len(pairs):
+        # Every id is in range, so source * n + target orders the arcs,
+        # and a repeated arc is a duplicate edge.
+        src = np.concatenate((a[:, 0], a[:, 1]))
+        arcs = np.sort(src * n + np.concatenate((a[:, 1], a[:, 0])))
+        if not (arcs[1:] == arcs[:-1]).any():
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+            return Graph(n=n, offsets=offsets, neighbors=arcs % n)
+    # Name the first defect in input order. Before the first range or
+    # loop defect every id is in range, so lo * n + hi names an
+    # undirected edge; a stable sort puts each repeat after its first
+    # occurrence.
     lo, hi = np.sort(a[:first], axis=1).T
     key = lo * n + hi
     order = np.argsort(key, kind="stable")
@@ -104,14 +144,7 @@ def build_graph(n: int, edges) -> Graph:
         if outside[first]:
             raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
         raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
-    if m < len(pairs):
-        _reject_pair(pairs[m], n)
-    src = np.concatenate((a[:, 0], a[:, 1]))
-    arcs = np.sort(src * n + np.concatenate((a[:, 1], a[:, 0])))
-    nbrs = (arcs % n).tolist()
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    adj = tuple(tuple(nbrs[s:e]) for s, e in zip([0, *ends], ends))
-    return Graph(n=n, adjacency=adj, edge_count=m)
+    _reject_pair(pairs[m], n)
 
 
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -157,13 +190,10 @@ def _reject_pair(e, n: int):
 
 def is_k_regular(g: Graph) -> int | None:
     """Return k if every vertex has degree k, else None (None for n=0)."""
-    if g.n == 0:
+    degrees = np.diff(g.offsets)
+    if g.n == 0 or (degrees != degrees[0]).any():
         return None
-    k = len(g.adjacency[0])
-    for nbrs in g.adjacency:
-        if len(nbrs) != k:
-            return None
-    return k
+    return int(degrees[0])
 
 
 def bipartition(g: Graph) -> list[int] | None:
@@ -171,6 +201,7 @@ def bipartition(g: Graph) -> list[int] | None:
 
     Deterministic: the lowest-id vertex of each component gets side 0.
     """
+    adjacency = g.adjacency_lists()
     side = [-1] * g.n
     for start in range(g.n):
         if side[start] != -1:
@@ -179,7 +210,7 @@ def bipartition(g: Graph) -> list[int] | None:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in g.adjacency[u]:
+            for v in adjacency[u]:
                 if side[v] == -1:
                     side[v] = 1 - side[u]
                     queue.append(v)
@@ -188,16 +219,16 @@ def bipartition(g: Graph) -> list[int] | None:
     return side
 
 
-def _bfs_eccentricity(g: Graph, source: int) -> tuple[int, int]:
+def _bfs_eccentricity(adjacency: list[list[int]], source: int) -> tuple[int, int]:
     """(eccentricity, number of reached vertices) from source."""
-    dist = [-1] * g.n
+    dist = [-1] * len(adjacency)
     dist[source] = 0
     queue = deque([source])
     ecc = 0
     reached = 1
     while queue:
         u = queue.popleft()
-        for v in g.adjacency[u]:
+        for v in adjacency[u]:
             if dist[v] == -1:
                 dist[v] = dist[u] + 1
                 ecc = max(ecc, dist[v])
@@ -210,9 +241,10 @@ def bfs_diameter(g: Graph) -> int | float:
     """Exact diameter via all-pairs BFS; math.inf if disconnected, O(n(n+m))."""
     if g.n == 0:
         return 0
+    adjacency = g.adjacency_lists()
     diameter = 0
     for source in range(g.n):
-        ecc, reached = _bfs_eccentricity(g, source)
+        ecc, reached = _bfs_eccentricity(adjacency, source)
         if reached < g.n:
             return math.inf
         diameter = max(diameter, ecc)
@@ -222,63 +254,64 @@ def bfs_diameter(g: Graph) -> int | float:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    _, reached = _bfs_eccentricity(g, 0)
+    _, reached = _bfs_eccentricity(g.adjacency_lists(), 0)
     return reached == g.n
 
 
-@dataclass(frozen=True)
-class BipartiteExpander:
+@dataclass(frozen=True, eq=False)
+class BipartiteExpander(ArrayRecord):
     """k-regular bipartite graph stored as k edge-disjoint perfect matchings.
 
     Left vertices are 0..n_left-1, right vertices n_left..n_left+n_right-1
-    in the derived graph.  Matching i joins left l to right matchings[i][l].
+    in the derived graph. matchings is a read-only (k, n_left) int64
+    array; matching i joins left l to right matchings[i, l].
     """
 
     n_left: int
     n_right: int
     k: int
-    matchings: tuple[tuple[int, ...], ...]
+    matchings: np.ndarray
 
-    @cached_property
-    def _perms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The matchings and their inverses as (k, n) index arrays."""
-        flat = itertools.chain.from_iterable(self.matchings)
-        m = np.fromiter(flat, np.intp, self.k * self.n_left).reshape(self.k, self.n_left)
-        inv = np.empty_like(m)
-        inv[np.arange(self.k)[:, None], m] = np.arange(self.n_left)
-        m.flags.writeable = inv.flags.writeable = False  # shared by every later call
-        return m, inv
+    @property
+    def n(self) -> int:
+        """Vertex count of the derived graph."""
+        return self.n_left + self.n_right
+
+    def _inverses(self) -> np.ndarray:
+        """The inverse permutations as a (k, n) array: right r's partner
+        in matching i is entry [i, r]."""
+        inv = np.empty_like(self.matchings)
+        inv[np.arange(self.k)[:, None], self.matchings] = np.arange(self.n_left)
+        return inv
 
     def to_graph(self) -> Graph:
         """The derived 2n-vertex graph, built straight from the matchings.
 
         make_bipartite_expander has checked what build_graph would, so
-        nothing is re-validated. Column l of a column-wise sort of the
-        matchings (inverses) holds left (right) l's sorted neighbours.
+        nothing is re-validated. Every vertex has degree k, and column l
+        of a column-wise sort of the matchings (inverses) holds left
+        (right) l's sorted neighbours.
         """
-        m, inv = self._perms
-        left = np.sort(m, axis=0) + self.n_left
-        right = np.sort(inv, axis=0)
-        adjacency = tuple(zip(*left.tolist())) + tuple(zip(*right.tolist()))
-        return Graph(n=self.n_left + self.n_right, adjacency=adjacency, edge_count=self.k * self.n_left)
+        left = np.sort(self.matchings, axis=0).T + self.n_left
+        right = np.sort(self._inverses(), axis=0).T
+        offsets = np.arange(0, self.k * self.n + 1, self.k, dtype=np.int64)
+        return Graph(n=self.n, offsets=offsets, neighbors=np.concatenate((left.ravel(), right.ravel())))
 
     def edge_array(self) -> np.ndarray:
         """to_graph().edge_array() without building the graph: row l of
         the transposed column-wise sort of the matchings holds left l's
         sorted right neighbours."""
-        m, _ = self._perms
-        right = np.sort(m, axis=0).T + self.n_left
+        right = np.sort(self.matchings, axis=0).T + self.n_left
         left = np.repeat(np.arange(self.n_left, dtype=np.int64), self.k)
         return np.stack((left, right.ravel()), axis=1)
 
     def is_connected(self) -> bool:
         """Whether to_graph() is connected, without building it."""
-        m, inv = self._perms
-        return bool(connected_rows(m[None], inv[None])[0])
+        return bool(connected_rows(self.matchings[None], self._inverses()[None])[0])
 
     def biadjacency(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_right, n_left)."""
-        return matching_biadjacency(self._perms[0])
+        return matching_biadjacency(self.matchings)
 
 
 def connected_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -364,8 +397,7 @@ def make_bipartite_expander(
             if hit.size:
                 l = int(shared[hit[0]])
                 raise GraphError(f"matchings {i} and {j} share edge ({l}, {a[i, l]})")
-    ms = tuple(map(tuple, a.tolist()))
-    return BipartiteExpander(n_left=n_left, n_right=n_right, k=k, matchings=ms)
+    return BipartiteExpander(n_left=n_left, n_right=n_right, k=k, matchings=a)
 
 
 def _non_permutations(a: np.ndarray) -> np.ndarray:

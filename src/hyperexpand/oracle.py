@@ -87,7 +87,7 @@ def _check_domain(g: Graph) -> None:
 
 
 def _neighbor_masks(g: Graph) -> list[int]:
-    return [sum(1 << v for v in nbrs) for nbrs in g.adjacency]
+    return [sum(1 << v for v in nbrs) for nbrs in g.adjacency_lists()]
 
 
 def _mask_to_subset(mask: int) -> tuple[int, ...]:

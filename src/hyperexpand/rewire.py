@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
-from .graphs import BipartiteExpander, Graph, build_graph
+from .graphs import ArrayRecord, BipartiteExpander, Graph
 from .serialize import (
     REWIRED_FORMAT,
-    IntList,
     _integer,
     bipartite_from_dict,
     bipartite_to_dict,
@@ -40,17 +41,21 @@ def layer_schedule(num_layers: int) -> tuple[LayerKind, ...]:
     )
 
 
-def _mask(n: int) -> tuple[bool, ...]:
+def _mask(n: int) -> np.ndarray:
     """The hyperedge mask of an n-vertex graph: ids n..2n-1 of 2n."""
-    return (False,) * n + (True,) * n
+    return np.repeat([False, True], n)
 
 
-@dataclass(frozen=True)
-class RewiredInstance:
+@dataclass(frozen=True, eq=False)
+class RewiredInstance(ArrayRecord):
+    """A graph, its expander overlay and the layer schedule. The mask may
+    be given as any sequence equal to the mask of ids n..2n-1; it is kept
+    as that mask's read-only bool array."""
+
     original: Graph
     expander: BipartiteExpander
     total_nodes: int
-    hyperedge_mask: tuple[bool, ...]
+    hyperedge_mask: np.ndarray
     schedule: tuple[LayerKind, ...]
 
     def __post_init__(self):
@@ -59,12 +64,10 @@ class RewiredInstance:
             raise ValueError("expander left side must match original vertex count")
         if self.total_nodes != 2 * n:
             raise ValueError("augmented node count must be 2n")
-        if tuple(self.hyperedge_mask) != _mask(n):
+        if not np.array_equal(self.hyperedge_mask, _mask(n)):
             raise ValueError("hyperedge mask must select exactly ids n..2n-1")
-
-    def original_view(self) -> Graph:
-        """Original edges on the augmented node set; hyperedge nodes isolated."""
-        return build_graph(self.total_nodes, self.original.edge_array())
+        object.__setattr__(self, "hyperedge_mask", _mask(n))
+        super().__post_init__()
 
     def to_dict(self) -> dict:
         return {
@@ -72,16 +75,19 @@ class RewiredInstance:
             "original": graph_to_dict(self.original),
             "expander": bipartite_to_dict(self.expander),
             "total_nodes": self.total_nodes,
-            "hyperedge_mask": IntList(self.hyperedge_mask),
+            "hyperedge_mask": self.hyperedge_mask,
             "schedule": [kind.value for kind in self.schedule],
         }
 
 
-def _bools(mask) -> tuple[bool, ...]:
-    """A mask as JSON parsed it: a list of true and false only."""
+def _bools(mask):
+    """A mask as JSON parsed it (a list of true and false only) or as
+    to_dict gives it (a bool array)."""
+    if isinstance(mask, np.ndarray) and mask.dtype == bool:
+        return mask
     if not isinstance(mask, (list, tuple)) or any(type(b) is not bool for b in mask):
         raise TypeError(f"must be a list of booleans, got {mask!r}")
-    return tuple(mask)
+    return mask
 
 
 def rewired_from_dict(data: dict) -> RewiredInstance:

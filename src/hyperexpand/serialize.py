@@ -4,22 +4,25 @@ JSON payloads use fixed key order (insertion order of the dicts built
 here) and 17-significant-digit float formatting, so re-running a command
 with the same configuration reproduces byte-identical files.
 
-The payload builders wrap the integer-only fields, a graph's "edges",
-an expander's "matchings" and a rewired instance's "hyperedge_mask", in
-IntList. dumps_canonical writes an IntList with one C-level json.dumps
-call instead of one recursive step per integer; for ints, bools and
-lists of them the two give the same bytes. Floats never take that path:
-json.dumps writes repr(x), the shortest round-trip digits, where the
-canonical form is format_float's 17 significant digits.
+The payload functions put the integer-only fields in as the containers'
+own arrays: a graph's "edges" (its (m, 2) edge array), an expander's
+"matchings" ((k, n)) and a rewired instance's "hyperedge_mask" (1-d
+bool). dumps_canonical writes an integer array with one %-format call
+and a boolean array as one string repeat per run of equal values; both
+give the bytes json.dumps(a.tolist(), separators=(",", ":")) would.
+Floats never take that path: json.dumps writes repr(x), the shortest
+round-trip digits, where the canonical form is format_float's 17
+significant digits.
 
 Edge lists are read and written as whole (m, 2) integer arrays: the body
-is parsed by one np.loadtxt call and formatted by one %-format.
+is parsed by one np.loadtxt call and formatted by one %-format, and the
+comment and header lines are found by regular expressions.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -40,11 +43,6 @@ def format_float(x: float) -> str:
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"
     return s
-
-
-class IntList(list):
-    """A payload list holding only ints, bools and lists of them, which
-    dumps_canonical writes with one json.dumps call."""
 
 
 def dumps_canonical(obj) -> str:
@@ -76,8 +74,8 @@ def _write(obj, out: list[str]) -> None:
             out.append(":")
             _write(value, out)
         out.append("}")
-    elif type(obj) is IntList:
-        out.append(json.dumps(obj, separators=(",", ":"), check_circular=False))
+    elif isinstance(obj, np.ndarray):
+        out.append(_array_json(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, value in enumerate(obj):
@@ -87,6 +85,20 @@ def _write(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _array_json(a: np.ndarray) -> str:
+    """An integer array, or a 1-d boolean one, as JSON nested lists."""
+    if a.dtype == bool and a.ndim == 1:
+        cuts = (np.flatnonzero(a[1:] != a[:-1]) + 1).tolist()
+        runs = (("true," if a[s] else "false,") * (e - s) for s, e in zip([0, *cuts], [*cuts, len(a)]) if e > s)
+        return "[" + "".join(runs)[:-1] + "]"
+    if a.dtype.kind not in "iu":
+        raise TypeError(f"cannot serialize a {a.dtype} array of shape {a.shape}")
+    fmt = "%d"
+    for size in reversed(a.shape):
+        fmt = "[" + ",".join([fmt] * size) + "]"
+    return fmt % tuple(a.ravel().tolist())
 
 
 def _check_format(d, expected: str) -> None:
@@ -106,7 +118,7 @@ def payload_field(d: dict, name: str, parse=lambda value: value):
 
 
 def graph_to_dict(g: Graph) -> dict:
-    return {"format": GRAPH_FORMAT, "n": g.n, "edges": IntList(g.edge_array().tolist())}
+    return {"format": GRAPH_FORMAT, "n": g.n, "edges": g.edge_array()}
 
 
 def _integer(value) -> int:
@@ -137,7 +149,7 @@ def bipartite_to_dict(b: BipartiteExpander) -> dict:
         "n_left": b.n_left,
         "n_right": b.n_right,
         "k": b.k,
-        "matchings": IntList(map(list, b.matchings)),
+        "matchings": b.matchings,
     }
 
 
@@ -162,6 +174,12 @@ def edgelist_dumps(g: Graph | BipartiteExpander) -> str:
     return f"# n={n}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
 
 
+# In text with a "\n" before every line and no other line break: a line
+# whose first non-space character is "#", and one where it is another.
+_COMMENT = re.compile(r"\n[^\S\n]*#.*")
+_EDGE_LINE = re.compile(r"\n[^\S\n]*[^\s#]")
+
+
 def edgelist_loads(text: str) -> Graph:
     """Parse `u v` lines; other '#' comments ignored.
 
@@ -171,29 +189,22 @@ def edgelist_loads(text: str) -> Graph:
     ValueError naming n rather than a count silently dropped. Errors are
     those of the first offending line.
     """
-    lines = text.splitlines()
-    comments = [i for i, line in enumerate(lines) if "#" in line and line.lstrip().startswith("#")]
-    first_edge = next(
-        (i for i, line in enumerate(lines) if line.strip() and not line.lstrip().startswith("#")),
-        len(lines),
-    )
-    headers = [i for i in comments if "".join(lines[i].split()).startswith("#n=")]
+    text = "\n" + "\n".join(text.splitlines())
+    edge = _EDGE_LINE.search(text)
+    first_edge = edge.start() if edge else len(text)
+    headers = [c for c in _COMMENT.finditer(text) if "".join(c[0].split()).startswith("#n=")]
     n = None
-    if headers and headers[0] < first_edge:
-        line = lines[headers[0]].strip()
+    if headers and headers[0].start() < first_edge:
+        line = headers[0][0].strip()
         try:
             n = int("".join(line.split())[3:])
         except ValueError:
             raise ValueError(f"malformed field 'n' in edge-list header {line!r}") from None
-    late = next((i for i in headers if i > first_edge), len(lines))
-    # The lines before a misplaced header, less the comments: slices
-    # between consecutive comment lines.
-    kept = [c for c in comments if c < late]
-    body = itertools.chain.from_iterable(lines[a + 1 : b] for a, b in zip([-1, *kept], [*kept, late]))
-    rows = _edge_rows(list(body))
-    if late < len(lines):
-        line = lines[late].strip()
-        raise ValueError(f"malformed field 'n': edge-list header {line!r} follows an edge line")
+    late = next((h for h in headers if h.start() > first_edge), None)
+    # The lines before a misplaced header, less the comments.
+    rows = _edge_rows(_COMMENT.sub("", text[: late.start() if late else len(text)]).split("\n"))
+    if late:
+        raise ValueError(f"malformed field 'n': edge-list header {late[0].strip()!r} follows an edge line")
     if n is None:
         n = int(rows.max(initial=-1)) + 1
     return build_graph(n, rows)
@@ -232,13 +243,18 @@ def _graph_from_payload(d: dict) -> Graph | None:
         return graph_from_dict(d)
     if fmt == BIPARTITE_FORMAT:
         return bipartite_from_dict(d).to_graph()
+    if fmt == REWIRED_FORMAT:
+        from .rewire import rewired_from_dict  # rewire imports this module
+
+        return rewired_from_dict(d).expander.to_graph()
     return None
 
 
 def load_graph_file(path: str | Path) -> Graph:
     """Read a graph from JSON (graph or bipartite payload) or edge-list text.
 
-    Bipartite payloads are returned as their derived 2n-vertex graph.
+    Bipartite payloads are returned as their derived 2n-vertex graph, and
+    a rewire payload, checked whole, as its expander overlay's.
     Command-line output envelopes ({"config": ..., "result": ...}) are
     unwrapped to the graph or expander they carry, so a generate output
     feeds straight back into analyze, verify, and rewire.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bipartition, is_k_regular
+from .graphs import BipartiteExpander, Graph, bipartition, is_k_regular
 
 DEFAULT_TOLERANCE = 1e-8
 # Largest vertex count any route densifies: an 8192^2 float64 matrix is 512 MiB.
@@ -106,41 +106,41 @@ def jacobi_eigenvalues(
     return np.sort(np.diag(a))[::-1].copy()
 
 
-def _bipartite_eigenvalues(g: Graph, side: list[int]) -> np.ndarray:
-    """Descending +-sigma(B) plus ||L| - |R|| zeros, every zero written +0.0.
-
-    B is the |L| x |R| block of A = [[0, B], [B^T, 0]], built from the
-    adjacency lists: rows are the side-0 vertices, columns the side-1
-    vertices.
-    """
-    counts = [0, 0]
-    pos = []
-    for s in side:
-        pos.append(counts[s])
-        counts[s] += 1
-    b = np.zeros((counts[0], counts[1]), dtype=np.float64)
-    for u, s in enumerate(side):
-        if s == 0:
-            for v in g.adjacency[u]:
-                b[pos[u], pos[v]] = 1.0
+def _bipartite_eigenvalues(b: np.ndarray) -> np.ndarray:
+    """Descending +-sigma(B) plus ||L| - |R|| zeros, every zero written
+    +0.0, for the |L| x |R| block B of A = [[0, B], [B^T, 0]]."""
     sv = np.linalg.svdvals(b) + 0.0  # descending; + 0.0 turns a -0.0 into +0.0
-    zeros = np.zeros(abs(counts[0] - counts[1]))
+    zeros = np.zeros(abs(b.shape[0] - b.shape[1]))
     return np.concatenate([sv, zeros, (0.0 - sv)[::-1]])
 
 
+def _side_block(g: Graph, side: list[int]) -> np.ndarray:
+    """The block B of a two-coloured g, one scatter of its arcs: rows are
+    the side-0 vertices, columns the side-1 vertices, both in id order."""
+    right = np.array(side, dtype=bool)
+    pos = np.where(right, np.cumsum(right), np.cumsum(~right)) - 1
+    src, dst = g.arcs()
+    keep = ~right[src]
+    b = np.zeros((g.n - int(right.sum()), int(right.sum())), dtype=np.float64)
+    b[pos[src[keep]], pos[dst[keep]]] = 1.0
+    return b
+
+
 def adjacency_eigenvalues(
-    g: Graph, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto", side=...
+    g: Graph | BipartiteExpander, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto", side=...
 ) -> np.ndarray:
     """All n adjacency eigenvalues, sorted descending.
 
     method: "lapack", "jacobi" (cyclic rotations on the full matrix), or
     "auto" (lapack).  The lapack route takes the singular values of the
-    biadjacency block when bipartition(g) finds a two-colouring, so the
-    n x n matrix is never built, and a dense symmetric eigensolve of the
-    full matrix otherwise; both are backward stable, each eigenvalue within
-    O(eps * max degree).  A caller that already holds bipartition(g)
-    passes it as side.  Raises ValueError above MAX_DENSE_N vertices, and
-    for jacobi above MAX_JACOBI_N.
+    biadjacency block when g is two-coloured, so the n x n matrix is
+    never built, and a dense symmetric eigensolve of the full matrix
+    otherwise; both are backward stable, each eigenvalue within
+    O(eps * max degree).  An expander's block comes straight from its
+    matchings (left vertices are the rows); a Graph is two-coloured by
+    bipartition(g), or by side when the caller already holds it.  Raises
+    ValueError above MAX_DENSE_N vertices, and for jacobi above
+    MAX_JACOBI_N.
     """
     if g.n < 1:
         raise ValueError("eigenvalues need n >= 1")
@@ -151,18 +151,21 @@ def adjacency_eigenvalues(
             f"graph has n={g.n} vertices; dense eigensolves are capped at "
             f"MAX_DENSE_N={MAX_DENSE_N}"
         )
+    expander = isinstance(g, BipartiteExpander)
     if method == "jacobi":
         if g.n > MAX_JACOBI_N:
             raise ValueError(
                 f"graph has n={g.n} vertices; the Jacobi route is capped at "
                 f"MAX_JACOBI_N={MAX_JACOBI_N}"
             )
-        return jacobi_eigenvalues(g.adjacency_matrix(), tolerance)
-    if side is ...:
+        return jacobi_eigenvalues((g.to_graph() if expander else g).adjacency_matrix(), tolerance)
+    if not expander and side is ...:
         side = bipartition(g)
     try:
+        if expander:
+            return _bipartite_eigenvalues(g.biadjacency().T)
         if side is not None:
-            return _bipartite_eigenvalues(g, side)
+            return _bipartite_eigenvalues(_side_block(g, side))
         eigs = np.linalg.eigvalsh(g.adjacency_matrix())
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"dense eigensolve failed: {exc}", residual=math.nan)
@@ -270,26 +273,33 @@ class SpectralReport:
 
 
 def analyze(
-    g: Graph, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto"
+    g: Graph | BipartiteExpander, tolerance: float = DEFAULT_TOLERANCE, method: str = "auto"
 ) -> SpectralReport:
     """Compute the SpectralReport for a k-regular graph.
 
-    The Ramanujan verdict and the diameter bound are None for
-    disconnected graphs (detected via the multiplicity of eigenvalue k)
-    and when every eigenvalue is trivial.  A nontrivial lambda below the
-    tolerance is treated as exactly 0 in the diameter bound, where the
-    formula's limit is exactly alpha.
+    An expander is analysed as its derived graph, from its matchings: it
+    is k-regular and bipartite with the left side first, so neither the
+    degree check nor the two-colouring runs. The Ramanujan verdict and
+    the diameter bound are None for disconnected graphs (detected via
+    the multiplicity of eigenvalue k) and when every eigenvalue is
+    trivial.  A nontrivial lambda below the tolerance is treated as
+    exactly 0 in the diameter bound, where the formula's limit is
+    exactly alpha.
     """
     check_tolerance(tolerance)
-    k = is_k_regular(g)
-    if k is None:
-        raise NotRegularError(
-            f"analyze requires a k-regular graph (degrees {sorted(set(g.degrees()))})"
-        )
-    side = bipartition(g)
-    eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
+    if isinstance(g, BipartiteExpander):
+        k, bip = g.k, True
+        eigs = adjacency_eigenvalues(g, tolerance, method)
+    else:
+        k = is_k_regular(g)
+        if k is None:
+            raise NotRegularError(
+                f"analyze requires a k-regular graph (degrees {sorted(set(g.degrees()))})"
+            )
+        side = bipartition(g)
+        eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
+        bip = side is not None
     connected = _multiplicity_of_k(eigs, k, tolerance) == 1
-    bip = side is not None
     lam = nontrivial_lambda(eigs, k, tolerance)
     lambda_2 = float(eigs[1]) if g.n >= 2 else None
 

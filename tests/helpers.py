@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +75,35 @@ def child_env() -> dict[str, str]:
     return env
 
 
-def build_graph_by_loop(n: int, edges) -> Graph:
+@dataclass(frozen=True)
+class TupleGraph:
+    """A graph as a tuple of sorted per-vertex neighbour tuples, with the
+    readers the CSR Graph replaced: the reference for Graph's."""
+
+    n: int
+    adjacency: tuple[tuple[int, ...], ...]
+    edge_count: int
+
+    def degrees(self) -> list[int]:
+        return [len(nbrs) for nbrs in self.adjacency]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
+
+    def edge_array(self) -> np.ndarray:
+        return np.array(self.edges(), dtype=np.int64).reshape(-1, 2)
+
+    def adjacency_matrix(self) -> np.ndarray:
+        a = np.zeros((self.n, self.n), dtype=np.float64)
+        for u in range(self.n):
+            for v in self.adjacency[u]:
+                a[u, v] = 1.0
+        return a
+
+
+def tuple_graph_by_loop(n: int, edges) -> TupleGraph:
     """build_graph as one loop over the pairs, with a set of the edges
-    seen and per-vertex lists sorted at the end: the reference for the
-    whole-array build_graph (on integer ids)."""
+    seen and per-vertex lists sorted at the end, into a TupleGraph."""
     if n < 0:
         raise GraphError(f"vertex count n must be non-negative, got {n}")
     if n > MAX_VERTICES:
@@ -93,8 +121,73 @@ def build_graph_by_loop(n: int, edges) -> Graph:
         seen.add(key)
         adjacency[u].append(v)
         adjacency[v].append(u)
-    adj = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-    return Graph(n=n, adjacency=adj, edge_count=len(seen))
+    adj = tuple(tuple(sorted(map(int, nbrs))) for nbrs in adjacency)
+    return TupleGraph(n=n, adjacency=adj, edge_count=len(seen))
+
+
+def build_graph_by_loop(n: int, edges) -> Graph:
+    """tuple_graph_by_loop with its tuples laid end to end as CSR arrays:
+    the reference for the whole-array build_graph (on integer ids)."""
+    t = tuple_graph_by_loop(n, edges)
+    offsets = np.cumsum([0, *t.degrees()], dtype=np.int64)
+    neighbors = np.array([v for nbrs in t.adjacency for v in nbrs], dtype=np.int64)
+    return Graph(n=n, offsets=offsets, neighbors=neighbors)
+
+
+def is_k_regular_by_tuples(g: TupleGraph) -> int | None:
+    if g.n == 0:
+        return None
+    k = len(g.adjacency[0])
+    return k if all(len(nbrs) == k for nbrs in g.adjacency) else None
+
+
+def bipartition_by_tuples(g: TupleGraph) -> list[int] | None:
+    side = [-1] * g.n
+    for start in range(g.n):
+        if side[start] != -1:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in g.adjacency[u]:
+                if side[v] == -1:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return None
+    return side
+
+
+def _eccentricity_by_tuples(g: TupleGraph, source: int) -> tuple[int, int]:
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.adjacency[u]:
+            if dist[v] == -1:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return max(dist), sum(d >= 0 for d in dist)
+
+
+def bfs_diameter_by_tuples(g: TupleGraph) -> int | float:
+    diameter = 0
+    for source in range(g.n):
+        ecc, reached = _eccentricity_by_tuples(g, source)
+        if reached < g.n:
+            return math.inf
+        diameter = max(diameter, ecc)
+    return diameter
+
+
+def is_connected_by_tuples(g: TupleGraph) -> bool:
+    return g.n == 0 or _eccentricity_by_tuples(g, 0)[1] == g.n
+
+
+def neighbor_masks_by_tuples(g: TupleGraph) -> list[int]:
+    return [sum(1 << v for v in nbrs) for nbrs in g.adjacency]
 
 
 def edgelist_loads_by_lines(text: str) -> Graph:
@@ -274,3 +367,29 @@ def seed_rejecting_first_draw() -> int:
     """A seed s whose stream derive_seed(s, 0) starts with the draw
     2^64 - 1, so a first permutation below n (not a power of 2) rejects."""
     return unmix(state_drawing_max_at(1)) ^ _mix(_GAMMA)
+
+
+def augmented_adjacency(inst) -> np.ndarray:
+    """The original edges of a rewired instance on its 2n nodes, as a
+    dense matrix: hyperedge nodes n..2n-1 have none."""
+    n = inst.original.n
+    adj = np.zeros((inst.total_nodes, inst.total_nodes))
+    adj[:n, :n] = inst.original.adjacency_matrix()
+    return adj
+
+
+def side_block_by_loop(g: TupleGraph, side: list[int]) -> np.ndarray:
+    """The |L| x |R| block of a two-coloured graph set entry by entry
+    (rows side-0 vertices, columns side-1, both in id order): the
+    reference for the spectral route's one-scatter block."""
+    counts = [0, 0]
+    pos = []
+    for s in side:
+        pos.append(counts[s])
+        counts[s] += 1
+    b = np.zeros((counts[0], counts[1]), dtype=np.float64)
+    for u, s in enumerate(side):
+        if s == 0:
+            for v in g.adjacency[u]:
+                b[pos[u], pos[v]] = 1.0
+    return b

@@ -45,6 +45,8 @@ from hyperexpand.rng import SplitMix64
 from hyperexpand.serialize import dumps_canonical, graph_to_dict
 from hyperexpand.spectral import adjacency_eigenvalues, analyze
 
+from helpers import augmented_adjacency
+
 
 @pytest.fixture
 def scorecard(capsys):
@@ -216,7 +218,7 @@ def test_criterion_7_over_squashing_mechanism(scorecard):
     feats[0, :7] = tg.random_feats(5, (7, 3))
     ig = tg.node_input_gradient(
         model,
-        inst.original_view().adjacency_matrix(),
+        augmented_adjacency(inst),
         inst.expander.biadjacency().astype(np.float64),
         feats,
         node=6,

@@ -87,7 +87,7 @@ class TestGenerate:
         assert payload["config"]["seed"] == 7
         expander = bipartite_from_dict(payload["result"]["expander"])
         want = k_regular_bipartite(GeneratorConfig(n=8, k=3, seed=7))
-        assert expander.matchings == want.matchings
+        assert expander == want
 
     def test_n3_k3_is_complete_bipartite(self, tmp_path):
         code, out = run_to_file(["generate", "--n", "3", "--k", "3"], tmp_path, "g.json")
@@ -227,6 +227,40 @@ class TestGoldenTrain:
                            *size[depth], "--rewire", "--mode", mode, "--out", str(out)])
         assert proc.returncode == EXIT_OK, proc.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[name]
+
+
+class TestGoldenSpectral:
+    """Byte goldens of the spectral routes: generate --ramanujan at n=128
+    and analyze of its output (singular values of the biadjacency block),
+    analyze of the Petersen graph (a dense eigvalsh, as it is not
+    bipartite) and verify of GP(10, 2) from the oracle corpus. The files
+    hold float64 eigenvalues, so the commands run in a child with one
+    BLAS thread."""
+
+    GOLDEN = {
+        "r.json": "da40d1acb0d8239a111f8085961be0ea3c7a79e65ecea08a129c5430200e3ad5",
+        "ra.json": "e8f8e835f0f47a5068d51bef5e64ea0093ef9320c59a1b08dfdf9c8baa53f6e0",
+        "pa.json": "66a9a47b57c558d849c390c1bc664ad7246ff4442e4cbf7d0e17f4ab6f059b20",
+        "gv.json": "4a5e1ea61e5fef814313ddeddb311f8de0f1add097eaf4dbea6d825f74a7739e",
+    }
+
+    def test_sha256(self, tmp_path):
+        petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+        petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        gp = [e for i in range(10) for e in ((i, (i + 1) % 10), (i, 10 + i), (10 + i, 10 + (i + 2) % 10))]
+        for name, n, edges in (("p.edges", 10, petersen), ("gp.edges", 20, gp)):
+            (tmp_path / name).write_text(f"# n={n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        for argv in (
+            ["generate", "--ramanujan", "--n", "128", "--k", "3", "--seed", "3", "--out", "r.json"],
+            ["analyze", "--in", "r.json", "--out", "ra.json"],
+            ["analyze", "--in", "p.edges", "--out", "pa.json"],
+            ["verify", "--in", "gp.edges", "--out", "gv.json"],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "hyperexpand", *argv], capture_output=True,
+                                  text=True, env=child_env(), cwd=tmp_path, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.GOLDEN}
+        assert got == self.GOLDEN
 
 
 class TestAnalyze:
@@ -459,7 +493,7 @@ class TestRewire:
         payload = json.loads(out.read_text())
         inst = rewired_from_dict(payload["result"])
         assert inst.total_nodes == 8
-        assert inst.expander.matchings == ((2, 1, 3, 0), (0, 2, 1, 3), (1, 3, 0, 2))
+        assert inst.expander.matchings.tolist() == [[2, 1, 3, 0], [0, 2, 1, 3], [1, 3, 0, 2]]
         assert payload["result"]["schedule"] == ["original", "expander"] * 3
 
     def test_written_files_load_to_the_same_objects(self, tmp_path, monkeypatch):
@@ -626,6 +660,39 @@ class TestTrainMemoryLimit:
     def test_depth_above_limit_exits_1(self, capsys):
         assert entry(TINY_TRAIN + ["--depth", "9"]) == EXIT_USAGE
         assert "depth must be in 1..8" in capsys.readouterr().err
+
+class TestNumpyOnlyRuntime:
+    """scipy and networkx are installed for test-time cross-checks only:
+    no subcommand may import them."""
+
+    CHILD = (
+        "import sys\n"
+        "from hyperexpand.cli import entry\n"
+        "code = entry(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--ramanujan", "--n", "16", "--k", "3", "--out", "g.json"],
+            ["generate", "--n", "16", "--k", "3", "--format", "edgelist", "--out", "g.edges"],
+            ["analyze", "--in", "p.edges", "--out", "a.json"],
+            ["analyze", "--in", "p.edges", "--method", "jacobi", "--out", "a.json"],
+            ["verify", "--in", "p.edges", "--out", "v.json"],
+            ["rewire", "--in", "p.edges", "--ramanujan", "--out", "r.json"],
+            ["train", "--depth", "2", "--layers", "2", "--hidden", "4", "--epochs", "2",
+             "--dataset-size", "8", "--rewire", "--out", "t.json"],
+        ],
+    )
+    def test_subcommand_imports_neither(self, argv, tmp_path):
+        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        (tmp_path / "p.edges").write_text("".join(f"{u} {v}\n" for u, v in edges))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True,
+                              env=child_env(), cwd=tmp_path, timeout=120)
+        assert proc.stdout.strip() == "0 []", proc.stderr
+
 
 class TestParser:
     def test_missing_subcommand_exits_1(self, capsys):

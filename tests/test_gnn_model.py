@@ -23,6 +23,8 @@ from hyperexpand.gnn.model import (
 from hyperexpand.graphs import build_graph, cycle_graph, path_graph
 from hyperexpand.rewire import LayerKind, augment, layer_schedule
 
+from helpers import augmented_adjacency
+
 
 def identity_gin(d):
     return GinLayerParams(
@@ -49,7 +51,7 @@ def padded_features(inst, feats):
 
 def rewired_logits(model, inst, feats):
     """Logits of one rewired instance, run as a batch of one."""
-    adj = inst.original_view().adjacency_matrix()
+    adj = augmented_adjacency(inst)
     logits, _ = forward_batch(model, padded_features(inst, feats), adj, inst.expander.biadjacency())
     return logits[0]
 
@@ -146,7 +148,7 @@ class TestForwardRewired:
             [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9], [1.0, 1.1, 1.2]]
         )
         logits = rewired_logits(model, inst, feats)
-        adj = inst.original_view().adjacency_matrix()
+        adj = augmented_adjacency(inst)
         h1, _ = gin_forward(padded_features(inst, feats), adj, model.layers[0])
         h2, _ = expander_forward(h1, inst.expander.biadjacency(), model.layers[1])
         want = h2[0, 0] @ model.head.w + model.head.b
@@ -167,7 +169,7 @@ class TestForwardRewired:
         # with zero aggregation; the next LEARNED expander layer reads that
         model = build_model(3, 8, 2, layer_schedule(3), mode=HyperedgeMode.LEARNED, seed=9)
         feats = np.arange(12, dtype=np.float64).reshape(4, 3) / 10.0
-        adj = inst.original_view().adjacency_matrix()
+        adj = augmented_adjacency(inst)
         biadj = inst.expander.biadjacency()
         h1, _ = gin_forward(padded_features(inst, feats), adj, model.layers[0])
         h2, _ = expander_forward(h1, biadj, model.layers[1])

@@ -22,6 +22,8 @@ from hyperexpand.graphs import build_graph, path_graph
 from hyperexpand.rewire import LayerKind, augment
 from hyperexpand.rng import SplitMix64
 
+from helpers import augmented_adjacency
+
 FD_STEP = 1e-5
 REL_TOL = 1e-4
 
@@ -97,7 +99,7 @@ def rewired_config(mode, schedule, seed):
     feats = np.zeros((2, 2 * n, 4))
     feats[:, :n, :] = random_feats(seed + 7, (2, n, 4))
     targets = np.array([1, 2])
-    adj = inst0.original_view().adjacency_matrix()
+    adj = augmented_adjacency(inst0)
     biadj = np.stack(
         [
             inst0.expander.biadjacency().astype(np.float64),
@@ -212,7 +214,7 @@ class TestReceptiveField:
         inst = augment(path_graph(7), GeneratorConfig(n=7, k=3, seed=11), num_layers=3)
         model = build_model(3, 4, 2, inst.schedule, seed=5)
         jitter_parameters(model, 55)
-        adj = inst.original_view().adjacency_matrix()
+        adj = augmented_adjacency(inst)
         biadj = inst.expander.biadjacency().astype(np.float64)
         feats = self.setup_feats(7, 3, total=14)
         ig = node_input_gradient(model, adj, biadj, feats, node=6, channel=0)

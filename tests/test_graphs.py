@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperexpand.graphs import (
@@ -27,9 +27,17 @@ from hyperexpand.graphs import (
     petersen_graph,
 )
 
+from hyperexpand.oracle import _neighbor_masks
+
 from helpers import (
+    bfs_diameter_by_tuples,
     biadjacency_by_loop,
+    bipartition_by_tuples,
     build_graph_by_loop,
+    is_connected_by_tuples,
+    is_k_regular_by_tuples,
+    neighbor_masks_by_tuples,
+    tuple_graph_by_loop,
     disjoint_matchings,
     disjoint_union,
     matching_error_by_loops,
@@ -59,7 +67,8 @@ class TestBuildGraph:
         g = build_graph(3, [(0, 1), (2, 1)])
         assert g.n == 3
         assert g.edge_count == 2
-        assert g.adjacency == ((1,), (0, 2), (1,))
+        assert g.adjacency_lists() == [[1], [0, 2], [1]]
+        assert g.offsets.tolist() == [0, 1, 3, 4] and g.neighbors.tolist() == [1, 0, 2, 1]
         assert g.edges() == [(0, 1), (1, 2)]
 
     def test_rejects_self_loop(self):
@@ -298,10 +307,10 @@ class TestMatchingNative:
     def test_to_graph_equals_build_graph(self, case):
         n, ms = case
         b = make_bipartite_expander(n, n, len(ms), ms)
-        assert b.matchings == tuple(map(tuple, ms))
+        assert b.matchings.tolist() == ms
         g = b.to_graph()
         assert g == to_graph_by_edges(b)
-        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+        assert g.offsets.dtype == g.neighbors.dtype == np.int64
         assert b.is_connected() == is_connected(g)
 
     @settings(max_examples=400, deadline=None)
@@ -318,8 +327,8 @@ class TestMatchingNative:
 
     def test_array_input_gives_int_tuples(self):
         b = make_bipartite_expander(3, 3, 2, np.array([[0, 1, 2], [1, 2, 0]], dtype=np.uint32))
-        assert b.matchings == ((0, 1, 2), (1, 2, 0))
-        assert all(type(v) is int for m in b.matchings for v in m)
+        assert b.matchings.tolist() == [[0, 1, 2], [1, 2, 0]]
+        assert b.matchings.dtype == np.int64
 
     def test_first_shared_edge_in_index_order(self):
         ms = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 1, 0, 3), (0, 3, 1, 2))
@@ -398,8 +407,8 @@ class TestWholeArrayBuildGraph:
 
     def test_adjacency_holds_python_ints(self):
         g = build_graph(4, np.array([[3, 0], [True, 2]], dtype=np.int64))
-        assert g.adjacency == ((3,), (2,), (1,), (0,))
-        assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+        assert g.adjacency_lists() == [[3], [2], [1], [0]]
+        assert all(type(v) is int for nbrs in g.adjacency_lists() for v in nbrs)
 
     @pytest.mark.parametrize(
         "edges,shown",
@@ -432,3 +441,109 @@ def test_disjoint_union_relabels():
     g = disjoint_union(path_graph(2), path_graph(2))
     assert g.n == 4
     assert g.edges() == [(0, 1), (2, 3)]
+
+
+@st.composite
+def simple_graphs(draw, max_n=12):
+    """(n, edges): any n-vertex simple graph, or half the time one whose
+    edges all cross a random two-colouring. Isolated vertices, several
+    components and odd cycles come up often."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if draw(st.booleans()):
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        pairs = [(u, v) for u, v in pairs if side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, draw(st.permutations([e for e, kept in zip(pairs, keep) if kept]))
+
+
+SMALL_CASES = [
+    (0, []),
+    (1, []),
+    (4, [(0, 1)]),  # isolated vertices 2 and 3
+    (5, [(i, (i + 1) % 5) for i in range(5)]),  # odd cycle
+    (7, [(3, 4), (4, 5), (1, 2)]),  # components whose lowest ids are 1 and 3
+]
+
+
+def with_small_cases(test):
+    for case in SMALL_CASES:
+        test = example(case)(test)
+    return test
+
+
+class TestCsrMatchesTupleReferences:
+    """Every CSR reader against the tuple-of-tuples reader it replaced
+    (helpers.py), on the same random graphs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_graphs())
+    @with_small_cases
+    def test_degrees_and_edges(self, case):
+        g, t = build_graph(*case), tuple_graph_by_loop(*case)
+        assert g.adjacency_lists() == [list(nbrs) for nbrs in t.adjacency]
+        assert g.degrees() == t.degrees() and g.edge_count == t.edge_count
+        assert g.edges() == t.edges()
+        assert np.array_equal(g.edge_array(), t.edge_array()) and g.edge_array().dtype == np.int64
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_graphs())
+    @with_small_cases
+    def test_adjacency_matrix_and_regularity(self, case):
+        g, t = build_graph(*case), tuple_graph_by_loop(*case)
+        assert np.array_equal(g.adjacency_matrix(), t.adjacency_matrix())
+        assert is_k_regular(g) == is_k_regular_by_tuples(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_graphs())
+    @with_small_cases
+    def test_bipartition(self, case):
+        g, t = build_graph(*case), tuple_graph_by_loop(*case)
+        side = bipartition(g)
+        assert side == bipartition_by_tuples(t)
+        if side is not None:  # the lowest id of each component gets side 0
+            lowest = [min(c) for c in components(t)]
+            assert all(side[u] == 0 for u in lowest)
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_graphs())
+    @with_small_cases
+    def test_connectivity_and_diameter(self, case):
+        g, t = build_graph(*case), tuple_graph_by_loop(*case)
+        assert is_connected(g) == is_connected_by_tuples(t)
+        assert bfs_diameter(g) == bfs_diameter_by_tuples(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(simple_graphs())
+    @with_small_cases
+    def test_oracle_masks(self, case):
+        g, t = build_graph(*case), tuple_graph_by_loop(*case)
+        assert _neighbor_masks(g) == neighbor_masks_by_tuples(t)
+
+    def test_bipartition_none_on_odd_cycle(self):
+        assert bipartition(build_graph(*SMALL_CASES[3])) is None
+        assert bipartition(build_graph(*SMALL_CASES[4])) == [0, 0, 1, 0, 1, 0, 0]
+
+    def test_arrays_are_read_only(self):
+        g = cycle_graph(5)
+        b = make_bipartite_expander(2, 2, 1, [[1, 0]])
+        for a in (g.offsets, g.neighbors, b.matchings, b.to_graph().neighbors):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+
+
+def components(t) -> list[set[int]]:
+    """The vertex sets of t's connected components, by depth-first search."""
+    seen: set[int] = set()
+    out = []
+    for start in range(t.n):
+        if start not in seen:
+            stack, comp = [start], {start}
+            while stack:
+                for v in t.adjacency[stack.pop()]:
+                    if v not in comp:
+                        comp.add(v)
+                        stack.append(v)
+            seen |= comp
+            out.append(comp)
+    return out

@@ -46,7 +46,7 @@ def gray_code_expansion(g, mode):
     Deliberately shares no code with the table-based oracle.
     """
     n = g.n
-    adj = [sorted(nbrs) for nbrs in g.adjacency]
+    adj = [sorted(nbrs) for nbrs in g.adjacency_lists()]
     in_a = [False] * n
     nbr_in = [0] * n  # neighbours currently inside A
     subset: set[int] = set()
@@ -273,7 +273,7 @@ class TestInvariants:
             grown = base | {v}
             nbrs = set()
             for u in grown:
-                nbrs.update(g.adjacency[u])
+                nbrs.update(g.adjacency_lists()[u])
             ratio = Fraction(len(nbrs - grown), len(grown))
             assert ratio >= w.fraction()
 

@@ -62,7 +62,7 @@ class TestAugment:
         assert inst.expander.k == 3
         degrees = inst.expander.to_graph().degrees()
         assert all(d == 3 for d in degrees)
-        assert inst.expander.matchings == ((2, 1, 3, 0), (0, 2, 1, 3), (1, 3, 0, 2))
+        assert inst.expander.matchings.tolist() == [[2, 1, 3, 0], [0, 2, 1, 3], [1, 3, 0, 2]]
 
     def test_n1(self):
         inst = augment(build_graph(1, []), GeneratorConfig(n=1, k=1))
@@ -79,7 +79,7 @@ class TestAugment:
         inst = augment(g, GeneratorConfig(n=2, k=2, seed=0))
         big = augment(g, GeneratorConfig(n=16, k=3, seed=0))
         assert big.expander.k == 2
-        assert big.expander.matchings == inst.expander.matchings
+        assert big.expander == inst.expander
 
     def test_ramanujan_flag(self):
         inst = augment(cycle_graph(8), GeneratorConfig(n=8, k=3, seed=0), ramanujan=True)
@@ -99,7 +99,7 @@ class TestAugment:
     def test_deterministic(self):
         g = cycle_graph(6)
         cfg = GeneratorConfig(n=6, k=3, seed=77)
-        assert augment(g, cfg).expander.matchings == augment(g, cfg).expander.matchings
+        assert augment(g, cfg).expander == augment(g, cfg).expander
 
 
 class TestRewiredInstance:
@@ -108,20 +108,13 @@ class TestRewiredInstance:
         return augment(cycle_graph(4), GeneratorConfig(n=4, k=3, seed=5))
 
     def test_mask_selects_hyperedge_ids(self, inst):
-        assert inst.hyperedge_mask == (False,) * 4 + (True,) * 4
+        assert inst.hyperedge_mask.tolist() == [False] * 4 + [True] * 4
         assert sum(inst.hyperedge_mask) == 4
 
     def test_mask_keeps_first_n_feature_rows(self, inst):
         feats = np.arange(8.0).reshape(8, 1)
         kept = feats[~np.array(inst.hyperedge_mask)]
         assert kept[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
-
-    def test_hyperedge_nodes_isolated_in_original_view(self, inst):
-        view = inst.original_view()
-        assert view.n == 8
-        degrees = view.degrees()
-        assert all(degrees[i] == 0 for i in range(4, 8))
-        assert sorted(view.edges()) == sorted(cycle_graph(4).edges())
 
     def test_expander_view_covers_both_sides(self, inst):
         view = inst.expander.to_graph()
@@ -176,7 +169,8 @@ class TestRewiredInstance:
             )
 
         if ok:
-            assert make().to_dict() == inst.to_dict()
+            assert make() == inst
+            assert dumps_canonical(make().to_dict()) == dumps_canonical(inst.to_dict())
         else:
             with pytest.raises(ValueError, match="^hyperedge mask must select exactly ids n..2n-1$"):
                 make()
@@ -233,7 +227,7 @@ class TestRewiredInstance:
     def test_envelope_round_trip_through_json_text(self, inst):
         back = rewired_from_dict(json.loads(dumps_canonical(inst.to_dict())))
         assert back == inst
-        assert all(type(b) is bool for b in back.hyperedge_mask) and type(back.total_nodes) is int
+        assert back.hyperedge_mask.dtype == bool and type(back.total_nodes) is int
 
 
 class TestReachability:

@@ -7,18 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
+from hyperexpand.construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
 from hyperexpand.graphs import (
+    BipartiteExpander,
     Graph,
+    bipartition,
     build_graph,
     circular_ladder_graph,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    make_bipartite_expander,
     path_graph,
     petersen_graph,
 )
 from hyperexpand.oracle import verify_bounds
+from hyperexpand.serialize import dumps_canonical
 from hyperexpand.spectral import (
     MAX_DENSE_N,
     MAX_JACOBI_N,
@@ -33,8 +37,9 @@ from hyperexpand.spectral import (
     jacobi_eigenvalues,
     nontrivial_lambda,
 )
+from hyperexpand.spectral import _side_block
 
-from helpers import disjoint_union
+from helpers import disjoint_matchings, disjoint_union, outcome, side_block_by_loop, tuple_graph_by_loop
 
 TOL = 1e-8
 
@@ -178,6 +183,51 @@ class TestBipartiteRoute:
         assert calls == [g]
         assert report.is_bipartite is (real(g) is not None)
         assert report.eigenvalues == tuple(adjacency_eigenvalues(g).tolist())
+
+
+class TestExpanderRoute:
+    """An expander goes to the spectral routes as it is: the block comes
+    from its matchings, in the orientation its derived graph's block has."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_matchings())
+    def test_analyze_equals_derived_graph(self, case):
+        n, ms = case
+        b = make_bipartite_expander(n, n, len(ms), ms)
+        for method in ("auto", "jacobi"):
+            # Jacobi may put lambda_2 of a disconnected draw just above k,
+            # which analyze refuses; the two inputs must then fail alike.
+            got, want = (outcome(lambda h: dumps_canonical(analyze(h, method=method).to_dict()), h)
+                         for h in (b, b.to_graph()))
+            assert got == want
+
+    @pytest.mark.parametrize("n,k", [(64, 3), (128, 4), (300, 5)])
+    def test_block_is_the_derived_graphs(self, n, k):
+        b = k_regular_bipartite(GeneratorConfig(n=n, k=k, seed=n))
+        g = b.to_graph()
+        assert np.array_equal(b.biadjacency().T, _side_block(g, bipartition(g)))
+        assert adjacency_eigenvalues(b).tobytes() == adjacency_eigenvalues(g).tobytes()
+
+    def test_ramanujan_builds_no_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("derived graph built")
+
+        want = ramanujan_bipartite(GeneratorConfig(n=32, k=3, seed=5))
+        monkeypatch.setattr(BipartiteExpander, "to_graph", refuse)
+        monkeypatch.setattr("hyperexpand.spectral.bipartition", refuse)
+        assert ramanujan_bipartite(GeneratorConfig(n=32, k=3, seed=5)) == want
+
+    def test_expander_has_derived_vertex_count(self):
+        assert make_bipartite_expander(3, 3, 2, [[0, 1, 2], [1, 2, 0]]).n == 6
+
+
+class TestSideBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs())
+    def test_matches_loop(self, g):
+        side = bipartition(g)
+        t = tuple_graph_by_loop(g.n, g.edges())
+        assert np.array_equal(_side_block(g, side), side_block_by_loop(t, side))
 
 
 class TestDenseCap:

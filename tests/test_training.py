@@ -100,11 +100,12 @@ class TestMemoryLimit:
 
     @pytest.mark.parametrize("mode", list(HyperedgeMode))
     def test_depth5_rewired_maximum(self, mode):
-        # about 3130 depth-5 rewired samples fit in MAX_TRAIN_BYTES (the
-        # measured peak grows by 85.7k floats per sample); 3100 must pass
-        TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=3100)
-        with pytest.raises(ValueError, match="dataset_size must be <= 31"):
-            TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=5000)
+        # 3283 depth-5 rewired samples fit in MAX_TRAIN_BYTES (the measured
+        # peak grows by about 81.7k floats per sample)
+        TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=3283)
+        for size in (3284, 5000):
+            with pytest.raises(ValueError, match="dataset_size must be <= 3283 "):
+                TrainConfig(depth=5, rewire=True, hyperedge_mode=mode, dataset_size=size)
 
     @pytest.mark.parametrize(
         "kw",

@@ -30,8 +30,8 @@ class TestTreeGraph:
     def test_children_rule(self):
         g = tree_graph(3)
         for i in range(7):  # inner nodes
-            assert 2 * i + 1 in g.adjacency[i]
-            assert 2 * i + 2 in g.adjacency[i]
+            assert 2 * i + 1 in g.adjacency_lists()[i]
+            assert 2 * i + 2 in g.adjacency_lists()[i]
 
     def test_diameter_is_twice_depth(self):
         for depth in (1, 2, 3, 4):
@@ -42,7 +42,7 @@ class TestTreeGraph:
         assert list(leaf_ids(2)) == [3, 4, 5, 6]
         g = tree_graph(2)
         for leaf in leaf_ids(2):
-            assert len(g.adjacency[leaf]) == 1
+            assert len(g.adjacency_lists()[leaf]) == 1
 
     def test_depth_zero_rejected(self):
         with pytest.raises(ValueError):
