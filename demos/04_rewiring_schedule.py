@@ -31,7 +31,7 @@ print()
 print("original edges (u, v):")
 print(inst.original.edge_array())
 print("overlay edges touch only (vertex, hyperedge) pairs:")
-print(" ", inst.expander.to_graph().edges())
+print(" ", inst.expander.to_graph().edge_array().tolist())
 
 # ---------------------------------------------------------------------------
 # The layer schedule simply alternates, starting from the original graph.

@@ -12,19 +12,22 @@ task here, first on the bare tree, then with the expander overlay.
 import time
 
 from hyperexpand.gnn.training import TrainConfig, train
-from hyperexpand.gnn.treematch import generate_tree_match, leaf_ids, tree_graph
+from hyperexpand.gnn.treematch import leaf_ids, make_dataset, tree_graph
 from hyperexpand.rng import SplitMix64
 
 # ---------------------------------------------------------------------------
-# The task at depth 2: seven nodes, four leaves, four classes.
+# The task at depth 2: seven nodes, four leaves, four classes. A dataset
+# holds its instances as arrays; here is the first of one.
 
 g = tree_graph(2)
-inst = generate_tree_match(2, SplitMix64(0))
-leaves = list(leaf_ids(2))
-print(f"depth-2 tree: {g.n} nodes, edges {g.edges()}")
-print(f"leaf neighbor counts {[inst.counts[v] for v in leaves]}")
-print(f"leaf labels         {[inst.labels[v] for v in leaves]}")
-print(f"root count {inst.counts[inst.root_id]} -> answer is class {inst.target_label}")
+data = make_dataset(2, 1, SplitMix64(0))
+counts, labels, chosen = data.leaf_counts[0], data.leaf_labels[0], int(data.chosen[0])
+print(f"depth-2 tree: {g.n} nodes, edges {g.edge_array().tolist()}")
+print(f"leaves {list(leaf_ids(2))}")
+print(f"leaf neighbor counts {counts.tolist()}")
+print(f"leaf labels         {labels.tolist()}")
+print(f"root count {counts[chosen]} -> answer is class {data.targets()[0]}")
+print(f"features {data.features(g.n).shape[1:]}: count one-hot, then label one-hot")
 
 # ---------------------------------------------------------------------------
 # Depth 1 is easy: a plain GIN gets to 100% train accuracy quickly.

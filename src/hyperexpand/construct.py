@@ -11,11 +11,12 @@ fill a (k, n) array, a collision is one array compare against its rows,
 and validation and the connectivity check run on that array; no derived
 2n-vertex Graph is built until a caller asks for one.
 
-`k_regular_bipartite` draws one instance, one whole permutation at a
-time. `k_regular_bipartite_batch` draws many small instances together as
-a (B, k, n) array: every round gives each unfinished instance its next
-permutation, collisions and connectivity are masked per instance, and
-each row equals what `k_regular_bipartite` returns for its seed.
+There is one draw path. `k_regular_bipartite_batch` draws instances
+together as a (B, k, n) array: every round gives each unfinished instance
+its next few permutations (rng.permutation_rows, which runs few long rows
+through their own swap chains and many short ones in column steps),
+collisions and connectivity are masked per instance, and row i depends
+only on seed i. `k_regular_bipartite` is the batch of its one seed.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .graphs import (
     BipartiteExpander,
     check_matching_array,
     connected_rows,
-    make_bipartite_expander,
+    inverse_rows,
 )
-from .rng import SplitMix64, derive_seed, derive_seeds, permutation_rows
+from .rng import _GAMMA, _MASK, SplitMix64, derive_seed, derive_seeds, permutation_rows
 from .spectral import (
     DEFAULT_TOLERANCE,
     SpectralReport,
@@ -39,6 +40,12 @@ from .spectral import (
     analyze,
     check_tolerance,
 )
+
+
+# A round draws about this many elements: each unfinished instance draws
+# max(1, _ROUND_ELEMENTS // (instances * n)) permutations ahead, so a lone
+# small instance pays one round of numpy calls per many resamples.
+_ROUND_ELEMENTS = 4096
 
 
 class RetryBudgetExhausted(RuntimeError):
@@ -130,62 +137,35 @@ def _budget_exhausted(cfg: GeneratorConfig, stage: str, count: int, accepted: in
     )
 
 
-def _draw_disjoint_matchings(cfg: GeneratorConfig, rng: SplitMix64) -> np.ndarray:
-    """k pairwise edge-disjoint matchings as the rows of a (k, n) array."""
-    matchings = np.empty((cfg.k, cfg.n), dtype=np.int64)
-    accepted = retries = 0
-    while accepted < cfg.k:
-        p = random_perfect_matching(cfg.n, rng)
-        if (matchings[:accepted] == p).any():
-            retries += 1
-            if retries > cfg.max_matching_retries:
-                raise _budget_exhausted(cfg, "matching", retries, accepted)
-            continue
-        matchings[accepted] = p
-        accepted += 1
-    return matchings
-
-
 def k_regular_bipartite(cfg: GeneratorConfig) -> BipartiteExpander:
     """Union of k disjoint random matchings; deterministic in cfg.seed.
 
-    A matching colliding with an already-accepted one is resampled alone.
-    If the derived 2n-vertex graph must be connected and is not, the whole
-    graph is redrawn from a fresh sub-seed. Connectivity redraws share the
-    max_matching_retries knob; they are vanishingly rare for k >= 2.
+    The batch of the one seed (read modulo 2^64, as derive_seed reads
+    it); see k_regular_bipartite_batch for the resampling and redraws.
     """
-    redraws = 0
-    while True:
-        rng = SplitMix64(derive_seed(cfg.seed, redraws))
-        matchings = _draw_disjoint_matchings(cfg, rng)
-        expander = make_bipartite_expander(cfg.n, cfg.n, cfg.k, matchings)
-        if not cfg.connectivity_required or expander.is_connected():
-            return expander
-        redraws += 1
-        if redraws > cfg.max_matching_retries:
-            raise _budget_exhausted(cfg, "connectivity", redraws)
+    return BipartiteExpander(cfg.n, cfg.n, cfg.k, k_regular_bipartite_batch(cfg, [cfg.seed % (1 << 64)])[0])
 
 
 def k_regular_bipartite_batch(cfg: GeneratorConfig, seeds) -> np.ndarray:
-    """k_regular_bipartite for every seed at once, as a (B, k, n) int64 array.
+    """The k disjoint matchings of every seed, as a (B, k, n) int64 array.
 
-    seeds is a sequence of seeds in 0..2^64-1 (a uint64 array or ints).
-    Row i holds the matchings of k_regular_bipartite(replace(cfg,
-    seed=seeds[i])); cfg.seed itself is not read. The generator states
-    are one uint64 vector. Each round draws the next permutation of every
-    unfinished instance (rng.permutation_rows), compares it with that
-    instance's accepted matchings in one masked compare, and checks every
-    instance it completes with one breadth-first search over their
-    matchings. Retry and redraw counts are kept per instance, and a
-    disconnected instance restarts from derive_seed(seed, redraws) with
-    its counts reset, as the per-instance loop does.
+    seeds is a sequence of seeds in 0..2^64-1 (a uint64 array or ints);
+    cfg.seed itself is not read. Instance i draws its permutations from
+    SplitMix64(derive_seed(seeds[i], 0)). A permutation that shares an
+    edge with one already accepted is resampled alone, and an instance
+    whose derived 2n-vertex graph must be connected and is not restarts
+    from derive_seed(seeds[i], redraws) with its counts reset. Resamples
+    and redraws each get max_matching_retries; redraws are vanishingly
+    rare for k >= 2.
 
-    If instances run out of a budget, the error is the one
-    k_regular_bipartite raises for the lowest-index failing seed, raised
-    once every instance before it has finished. The result gets
-    make_bipartite_expander's checks before it is returned. Meant for
-    many small instances: at large n one instance is faster through
-    k_regular_bipartite.
+    The generator states are one uint64 vector. A round draws the next
+    few permutations of every unfinished instance in one
+    rng.permutation_rows call, as if no draw were rejected, and takes
+    them candidate by candidate: one masked compare against the accepted
+    matchings, one breadth-first search over the instances completed.
+    If instances run out of a budget, the error is that of the
+    lowest-index failing seed, raised once every instance before it has
+    finished. The result gets make_bipartite_expander's checks.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n, k, budget = cfg.n, cfg.k, cfg.max_matching_retries
@@ -204,29 +184,40 @@ def k_regular_bipartite_batch(cfg: GeneratorConfig, seeds) -> np.ndarray:
             active[i:] = False  # instances after it can no longer be the error
 
     while (rows := np.flatnonzero(active)).size:
-        perms, state[rows] = permutation_rows(state[rows], n)
-        hit = (out[rows] == perms[:, None, :]).any(axis=(1, 2))
-        retries[rows[hit]] += 1
-        for i in rows[hit][retries[rows[hit]] > budget]:
-            fail(i, _budget_exhausted(cfg, "matching", int(retries[i]), int(accepted[i])))
-        keep = rows[~hit]
-        out[keep, accepted[keep]] = perms[~hit]
-        accepted[keep] += 1
-        done = keep[accepted[keep] == k]
-        if not cfg.connectivity_required:
-            active[done] = False
-            continue
-        connected = connected_rows(out[done], np.argsort(out[done], axis=2))
-        active[done[connected]] = False
-        redo = done[~connected]
-        redraws[redo] += 1
-        for i in redo:
-            if redraws[i] > budget:
-                fail(i, _budget_exhausted(cfg, "connectivity", int(redraws[i])))
-            else:
-                state[i] = derive_seed(int(seeds[i]), int(redraws[i]))
-        out[redo] = -1
-        accepted[redo] = retries[redo] = 0
+        ahead = max(1, _ROUND_ELEMENTS // (len(rows) * n))
+        starts = state[rows, None] + np.arange(ahead, dtype=np.uint64) * np.uint64((n - 1) * _GAMMA & _MASK)
+        perms, ends = permutation_rows(starts.ravel(), n)
+        perms, ends = perms.reshape(len(rows), ahead, n), ends.reshape(len(rows), ahead)
+        for j in range(ahead):
+            # a candidate is the next draw only while its instance is in the state it came from
+            at = np.flatnonzero(active[rows] & (state[rows] == starts[:, j]))
+            if not at.size:
+                break
+            cand, perm = rows[at], perms[at, j]
+            state[cand] = ends[at, j]
+            hit = (out[cand] == perm[:, None, :]).any(axis=(1, 2))
+            retries[cand[hit]] += 1
+            for i in cand[hit][retries[cand[hit]] > budget]:
+                fail(i, _budget_exhausted(cfg, "matching", int(retries[i]), int(accepted[i])))
+            keep = cand[~hit]
+            out[keep, accepted[keep]] = perm[~hit]
+            accepted[keep] += 1
+            done = keep[accepted[keep] == k]
+            if not cfg.connectivity_required or not done.size:
+                active[done] = False
+                continue
+            m = out[done]
+            connected = connected_rows(m, inverse_rows(m))
+            active[done[connected]] = False
+            redo = done[~connected]
+            redraws[redo] += 1
+            for i in redo:
+                if redraws[i] > budget:
+                    fail(i, _budget_exhausted(cfg, "connectivity", int(redraws[i])))
+                else:
+                    state[i] = derive_seed(int(seeds[i]), int(redraws[i]))
+            out[redo] = -1
+            accepted[redo] = retries[redo] = 0
     if failure is not None:
         raise failure[1]
     check_matching_array(out)

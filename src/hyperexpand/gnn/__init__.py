@@ -11,7 +11,7 @@ from .layers import (
 )
 from .model import GinModel, build_model, loss_and_gradients, named_parameters
 from .training import TrainConfig, TrainResult, TrainingDiverged, train
-from .treematch import TreeMatchInstance, generate_tree_match, make_dataset, tree_graph
+from .treematch import make_dataset, tree_graph
 
 __all__ = [
     "Affine",
@@ -22,9 +22,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
-    "TreeMatchInstance",
     "build_model",
-    "generate_tree_match",
     "init_affine",
     "init_expander_params",
     "init_gin_params",

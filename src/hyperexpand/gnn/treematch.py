@@ -18,7 +18,6 @@ Features are one scatter over the batch.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,46 +51,9 @@ def leaf_ids(depth: int) -> range:
     return range(2**depth - 1, n)
 
 
-@dataclass(frozen=True)
-class TreeMatchInstance:
-    depth: int
-    tree: Graph
-    counts: tuple[int, ...]  # neighbor count per node, 0 for inner non-root
-    labels: tuple[int | None, ...]  # class label per node, None off the leaves
-    root_id: int
-    target_label: int
-
-    @property
-    def num_classes(self) -> int:
-        return 2**self.depth
-
-    @property
-    def feature_dim(self) -> int:
-        # count one-hot over 0..2^depth, then label one-hot over the classes
-        return (2**self.depth + 1) + 2**self.depth
-
-    def encode_features(self) -> np.ndarray:
-        leaf_labels = [self.labels[v] for v in leaf_ids(self.depth)]
-        return _encode(self.depth, np.array([self.counts]), np.array([leaf_labels]), self.tree.n)[0]
-
-
-def _encode(depth: int, counts: np.ndarray, leaf_labels: np.ndarray, rows: int) -> np.ndarray:
-    """(B, rows, feature_dim) features of B instances, from their (B, n)
-    node counts and (B, L) leaf labels: node v's count one-hot, then a
-    leaf's label one-hot after the 2^depth + 1 count slots. Rows past n
-    stay zero. One scatter for each one-hot."""
-    size, n = counts.shape
-    width_counts = 2**depth + 1
-    feats = np.zeros((size, rows, width_counts + 2**depth))
-    batch = np.arange(size)[:, None]
-    feats[batch, np.arange(n), counts] = 1.0
-    feats[batch, np.asarray(leaf_ids(depth)), width_counts + leaf_labels] = 1.0
-    return feats
-
-
 @dataclass(frozen=True, eq=False)
-class TreeMatchDataset(Sequence):
-    """B instances of one depth as arrays; item b is a TreeMatchInstance.
+class TreeMatchDataset:
+    """B instances of one depth as arrays.
 
     Row b of leaf_counts (a permutation of 1..L) and leaf_labels (of
     0..L-1) lists instance b's leaves in id order; chosen[b] is the leaf
@@ -106,35 +68,23 @@ class TreeMatchDataset(Sequence):
     def __len__(self) -> int:
         return len(self.chosen)
 
-    def __getitem__(self, b: int) -> TreeMatchInstance:
-        first_leaf = leaf_ids(self.depth).start
-        leaf_counts, leaf_labels = self.leaf_counts[b].tolist(), self.leaf_labels[b].tolist()
-        chosen = int(self.chosen[b])
-        return TreeMatchInstance(
-            depth=self.depth,
-            tree=tree_graph(self.depth),
-            counts=(leaf_counts[chosen],) + (0,) * (first_leaf - 1) + tuple(leaf_counts),
-            labels=(None,) * first_leaf + tuple(leaf_labels),
-            root_id=0,
-            target_label=leaf_labels[chosen],
-        )
-
     def targets(self) -> np.ndarray:
         """(B,) class labels: each chosen leaf's label."""
         return self.leaf_labels[np.arange(len(self)), self.chosen]
 
     def features(self, rows: int) -> np.ndarray:
-        """(B, rows, feature_dim) float64 features, as each instance's
-        encode_features() stacked, with zero rows past the tree's n."""
-        leaves = leaf_ids(self.depth)
-        counts = np.zeros((len(self), leaves.stop), dtype=np.int64)  # 0 on inner nodes
-        counts[:, leaves.start:] = self.leaf_counts
-        counts[:, 0] = self.leaf_counts[np.arange(len(self)), self.chosen]
-        return _encode(self.depth, counts, self.leaf_labels, rows)
-
-
-def generate_tree_match(depth: int, rng: SplitMix64) -> TreeMatchInstance:
-    return make_dataset(depth, 1, rng)[0]
+        """(B, rows, feature_dim) float64 features: node v's count one-hot
+        (the root carries its chosen leaf's count, inner nodes 0), then a
+        leaf's label one-hot after the 2^depth + 1 count slots. Rows past
+        the tree's n stay zero."""
+        leaves, batch = np.asarray(leaf_ids(self.depth)), np.arange(len(self))[:, None]
+        width_counts = 2**self.depth + 1
+        feats = np.zeros((len(self), rows, width_counts + 2**self.depth))
+        feats[:, 1:leaves[0], 0] = 1.0
+        feats[batch, 0, self.leaf_counts[batch, self.chosen[:, None]]] = 1.0
+        feats[batch, leaves, self.leaf_counts] = 1.0
+        feats[batch, leaves, width_counts + self.leaf_labels] = 1.0
+        return feats
 
 
 def make_dataset(depth: int, size: int, rng: SplitMix64) -> TreeMatchDataset:

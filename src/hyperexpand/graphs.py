@@ -76,13 +76,9 @@ class Graph(ArrayRecord):
         nbrs, ends = self.neighbors.tolist(), self.offsets.tolist()
         return [nbrs[s:e] for s, e in zip(ends, ends[1:])]
 
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, lexicographically sorted."""
-        return list(map(tuple, self.edge_array().tolist()))
-
     def edge_array(self) -> np.ndarray:
-        """edges() as an (edge_count, 2) int64 array: the arcs (u, v)
-        with u < v."""
+        """All edges as an (edge_count, 2) int64 array: the arcs (u, v)
+        with u < v, lexicographically sorted."""
         src, dst = self.arcs()
         keep = src < dst
         return np.stack((src[keep], dst[keep]), axis=1)
@@ -277,13 +273,6 @@ class BipartiteExpander(ArrayRecord):
         """Vertex count of the derived graph."""
         return self.n_left + self.n_right
 
-    def _inverses(self) -> np.ndarray:
-        """The inverse permutations as a (k, n) array: right r's partner
-        in matching i is entry [i, r]."""
-        inv = np.empty_like(self.matchings)
-        inv[np.arange(self.k)[:, None], self.matchings] = np.arange(self.n_left)
-        return inv
-
     def to_graph(self) -> Graph:
         """The derived 2n-vertex graph, built straight from the matchings.
 
@@ -293,7 +282,7 @@ class BipartiteExpander(ArrayRecord):
         (right) l's sorted neighbours.
         """
         left = np.sort(self.matchings, axis=0).T + self.n_left
-        right = np.sort(self._inverses(), axis=0).T
+        right = np.sort(inverse_rows(self.matchings), axis=0).T
         offsets = np.arange(0, self.k * self.n + 1, self.k, dtype=np.int64)
         return Graph(n=self.n, offsets=offsets, neighbors=np.concatenate((left.ravel(), right.ravel())))
 
@@ -305,13 +294,19 @@ class BipartiteExpander(ArrayRecord):
         left = np.repeat(np.arange(self.n_left, dtype=np.int64), self.k)
         return np.stack((left, right.ravel()), axis=1)
 
-    def is_connected(self) -> bool:
-        """Whether to_graph() is connected, without building it."""
-        return bool(connected_rows(self.matchings[None], self._inverses()[None])[0])
-
     def biadjacency(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_right, n_left)."""
         return matching_biadjacency(self.matchings)
+
+
+def inverse_rows(m: np.ndarray) -> np.ndarray:
+    """The inverses of (..., n) permutation rows, by one scatter: entry
+    [..., r] of a row's inverse is where that row holds r."""
+    n = m.shape[-1]
+    rows = m.reshape(-1, n)
+    inv = np.empty_like(rows)
+    inv[np.arange(len(rows))[:, None], rows] = np.arange(n)
+    return inv.reshape(m.shape)
 
 
 def connected_rows(m: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -14,8 +14,7 @@ wraps modulo 2^64 exactly as the scalar path masks (Salmon et al. 2011).
 that `next_below` would reject is rare (probability below bound / 2^64);
 the block stops there, the scalar `next_below` redraws, and the block
 resumes after it, so the permutation and the generator's end state equal
-the scalar path's bit for bit. Below _BLOCK_MIN_N elements numpy's
-per-call cost outweighs the saving and the scalar loop runs instead.
+the scalar path's bit for bit.
 
 The swaps of one long permutation then run as whole-array ops, after
 the chain argument of Shun, Gu, Blelloch, Fineman & Gibbons (2015),
@@ -30,10 +29,12 @@ These "latest earlier step" links point strictly backwards, so pointer
 doubling resolves every chain in at most ceil(log2 n) + 1 rounds; the
 links come from one sort of the unique keys (j, t). See _swap_chains.
 
-Many small permutations are drawn together as rows: `permutation_rows`
-takes one block per state, and `fisher_yates_rows` runs the swaps of all
-rows at once, one column step per Fisher-Yates step. Each row equals
-what `permutation` returns for its state.
+Many permutations are drawn together as rows by `permutation_rows`,
+which picks how to run the swaps from the shape of its input. Few long
+rows each go through `permutation` and its chains; many short rows take
+one block per state, and `fisher_yates_rows` runs the swaps of all rows
+at once, one column step per Fisher-Yates step. Each row equals what
+`permutation` returns for its state.
 """
 
 from __future__ import annotations
@@ -42,10 +43,10 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
-# Smallest permutation drawn from a numpy block and _swap_chains; measured
-# break-even with the scalar loop is near n=64 (47.7-49.7 us scalar against
-# 49.0-51.8 us block at n=63-65; the block wins from n=68 on).
-_BLOCK_MIN_N = 64
+# permutation_rows gives each row its own swap chains from this many
+# elements per row up: column steps take 0.59 ms at 500 x 63, and 262 ms
+# against 7.8 ms for chains at 1 x 10^5 (2-vCPU VM).
+_CHAIN_MIN_N_PER_ROW = 64
 
 
 def _mix_block(z: np.ndarray) -> np.ndarray:
@@ -135,12 +136,8 @@ class SplitMix64:
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of range(n) (Fisher-Yates), as an
         int64 array."""
-        if n < _BLOCK_MIN_N:
-            perm = list(range(n))
-            for i in range(n - 1, 0, -1):
-                j = self.next_below(i + 1)
-                perm[i], perm[j] = perm[j], perm[i]
-            return np.array(perm, dtype=np.int64)
+        if n < 2:
+            return np.arange(n, dtype=np.int64)
         js = self._below_block(np.arange(n, 1, -1, dtype=np.uint64))
         return _swap_chains(js.view(np.int64))[0]  # every draw is below n
 
@@ -208,14 +205,27 @@ def fisher_yates_rows(js: np.ndarray) -> np.ndarray:
     return perm.T
 
 
+def _exact_row(state, n: int) -> tuple[np.ndarray, int]:
+    """SplitMix64(state).permutation(n) and the state it ends in."""
+    rng = SplitMix64(int(state))
+    return rng.permutation(n), rng._state
+
+
 def permutation_rows(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """[SplitMix64(s).permutation(n) for s in states] as an (R, n) array,
     with the states those generators end in.
 
-    Every row's n-1 draws are one block, mix(s + step * gamma). A row
-    whose block holds a draw that next_below would reject is redrawn by
-    its scalar generator, so every row and end state is exact.
+    Few long rows (R * _CHAIN_MIN_N_PER_ROW <= n) are each drawn by their
+    own generator; one row comes back as a view of its permutation, not
+    a copy (at n=10^5 a copy tripled a draw's minor page faults). Else
+    every row's n-1 draws are one block, mix(s + step * gamma), and
+    fisher_yates_rows runs the swaps; a row whose block holds a draw that
+    next_below would reject is redrawn by its own generator, so every row
+    and end state is exact.
     """
+    if len(states) * _CHAIN_MIN_N_PER_ROW <= n:
+        perms, after = zip(*(_exact_row(s, n) for s in states))
+        return perms[0][None] if len(perms) == 1 else np.stack(perms), np.array(after, dtype=np.uint64)
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
     rem = (np.uint64(0) - bounds) % bounds
     steps = np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -223,7 +233,5 @@ def permutation_rows(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
     perms = fisher_yates_rows(x % bounds)
     after = states + np.uint64(((n - 1) * _GAMMA) & _MASK)
     for r in np.flatnonzero((x + rem < x).any(axis=1)):
-        rng = SplitMix64(int(states[r]))
-        perms[r] = rng.permutation(n)
-        after[r] = rng._state
+        perms[r], after[r] = _exact_row(states[r], n)
     return perms, after

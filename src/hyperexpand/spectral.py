@@ -230,12 +230,6 @@ def dodziuk_bounds(k: int, lam: float) -> tuple[float, float]:
     return (k - lam) / 2.0, math.sqrt(2.0 * k * (k - lam))
 
 
-def _multiplicity_of_k(eigenvalues, k: int, tolerance: float) -> int:
-    """Eigenvalue-k multiplicity == number of connected components (k-regular)."""
-    band = tolerance * max(1.0, float(k))
-    return int(sum(1 for lam in eigenvalues if lam >= k - band))
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Full spectral certificate for one k-regular graph."""
@@ -284,7 +278,7 @@ def analyze(
     the multiplicity of eigenvalue k) and when every eigenvalue is
     trivial.  A nontrivial lambda below the tolerance is treated as
     exactly 0 in the diameter bound, where the formula's limit is
-    exactly alpha.
+    exactly alpha, and a lambda_2 within the band around k is at most k.
     """
     check_tolerance(tolerance)
     if isinstance(g, BipartiteExpander):
@@ -296,12 +290,15 @@ def analyze(
             raise NotRegularError(
                 f"analyze requires a k-regular graph (degrees {sorted(set(g.degrees()))})"
             )
-        side = bipartition(g)
+        side = bipartition(g) if g.n <= MAX_DENSE_N else None  # refused before two-colouring
         eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
         bip = side is not None
-    connected = _multiplicity_of_k(eigs, k, tolerance) == 1
+    band = tolerance * max(1.0, float(k))  # a numerical eigenvalue this close to k is k
+    connected = sum(1 for e in eigs if e >= k - band) == 1  # k's multiplicity counts components
     lam = nontrivial_lambda(eigs, k, tolerance)
     lambda_2 = float(eigs[1]) if g.n >= 2 else None
+    if lambda_2 is not None and k < lambda_2 <= k + band:
+        lambda_2 = float(k)  # a second eigenvalue k (disconnected), a few ulps high
 
     ramanujan: bool | None = None
     chung: float | None = None

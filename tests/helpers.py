@@ -13,10 +13,18 @@ import numpy as np
 from hypothesis import strategies as st
 
 import hyperexpand
-from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
+from hyperexpand.construct import GeneratorConfig, RetryBudgetExhausted
 from hyperexpand.gnn.training import DATA_STREAM, EXPANDER_STREAM, TrainConfig
-from hyperexpand.gnn.treematch import TreeMatchInstance, leaf_ids, tree_graph
-from hyperexpand.graphs import MAX_VERTICES, BipartiteExpander, Graph, GraphError, build_graph
+from hyperexpand.gnn.treematch import leaf_ids, tree_graph
+from hyperexpand.graphs import (
+    MAX_VERTICES,
+    BipartiteExpander,
+    Graph,
+    GraphError,
+    build_graph,
+    is_connected,
+    make_bipartite_expander,
+)
 from hyperexpand.rng import _GAMMA, _MASK, SplitMix64, _mix, derive_seed
 from hyperexpand.serialize import format_float
 
@@ -26,7 +34,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     edges = []
     offset = 0
     for g in graphs:
-        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        edges.extend((u + offset, v + offset) for u, v in g.edge_array().tolist())
         offset += g.n
     return build_graph(offset, edges)
 
@@ -280,37 +288,112 @@ def biadjacency_by_loop(b: BipartiteExpander) -> np.ndarray:
     return out
 
 
+def scalar_permutation(r: SplitMix64, n: int) -> list[int]:
+    """Fisher-Yates fed one next_below draw at a time: the reference for
+    SplitMix64.permutation and permutation_rows."""
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = r.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def matchings_by_instance(cfg: GeneratorConfig) -> np.ndarray:
+    """The (k, n) matchings of k_regular_bipartite(cfg), drawn one
+    scalar permutation at a time: a permutation sharing an edge with an
+    accepted one is resampled alone, and a graph that must be connected
+    and is not (a breadth-first search of its build_graph form) is
+    redrawn from derive_seed(seed, redraws). Raises the
+    RetryBudgetExhausted of the budget it runs out of. The reference for
+    k_regular_bipartite_batch."""
+    budget = cfg.max_matching_retries
+    redraws = 0
+    while True:
+        rng = SplitMix64(derive_seed(cfg.seed, redraws))
+        matchings = np.empty((cfg.k, cfg.n), dtype=np.int64)
+        accepted = retries = 0
+        while accepted < cfg.k:
+            p = scalar_permutation(rng, cfg.n)
+            if (matchings[:accepted] == p).any():
+                retries += 1
+                if retries > budget:
+                    raise RetryBudgetExhausted(
+                        "matching",
+                        retries,
+                        f"no {cfg.k} disjoint matchings after {retries} resamples "
+                        f"(budget {budget}); had {accepted} so far",
+                        matching_retries=retries,
+                    )
+                continue
+            matchings[accepted] = p
+            accepted += 1
+        expander = make_bipartite_expander(cfg.n, cfg.n, cfg.k, matchings)
+        if not cfg.connectivity_required or is_connected(to_graph_by_edges(expander)):
+            return matchings
+        redraws += 1
+        if redraws > budget:
+            raise RetryBudgetExhausted(
+                "connectivity",
+                redraws,
+                f"no connected graph after {redraws} whole-graph redraws (budget {budget})",
+                graph_redraws=redraws,
+            )
+
+
+@dataclass(frozen=True)
+class TreeMatchInstance:
+    """One Tree-NeighborsMatch instance node by node: each node's count
+    (0 on inner nodes, the chosen leaf's on the root) and label (None off
+    the leaves), the chosen leaf's index among the leaves, and its label."""
+
+    depth: int
+    counts: tuple[int, ...]
+    labels: tuple[int | None, ...]
+    chosen: int
+    target_label: int
+
+
 def tree_match_by_loop(depth: int, rng: SplitMix64) -> TreeMatchInstance:
-    """One Tree-NeighborsMatch instance from two rng.permutation calls and
+    """One Tree-NeighborsMatch instance from two scalar permutations and
     a next_below, filled in node by node: the reference for the block
     draws of make_dataset."""
-    tree = tree_graph(depth)
+    n = tree_graph(depth).n
     leaves = list(leaf_ids(depth))
     num_leaves = len(leaves)
-    leaf_counts = [p + 1 for p in rng.permutation(num_leaves)]
-    leaf_labels = rng.permutation(num_leaves)
+    leaf_counts = [p + 1 for p in scalar_permutation(rng, num_leaves)]
+    leaf_labels = scalar_permutation(rng, num_leaves)
     chosen = rng.next_below(num_leaves)
-    counts = [0] * tree.n
-    labels: list[int | None] = [None] * tree.n
+    counts = [0] * n
+    labels: list[int | None] = [None] * n
     for leaf, c, lab in zip(leaves, leaf_counts, leaf_labels):
         counts[leaf] = c
         labels[leaf] = lab
     counts[0] = leaf_counts[chosen]
-    return TreeMatchInstance(
-        depth=depth,
-        tree=tree,
-        counts=tuple(counts),
-        labels=tuple(labels),
-        root_id=0,
-        target_label=leaf_labels[chosen],
-    )
+    return TreeMatchInstance(depth, tuple(counts), tuple(labels), chosen, leaf_labels[chosen])
+
+
+def dataset_instances(data) -> list[TreeMatchInstance]:
+    """A TreeMatchDataset's rows as TreeMatchInstance records."""
+    out = []
+    first_leaf = leaf_ids(data.depth).start
+    for counts, labels, chosen in zip(data.leaf_counts.tolist(), data.leaf_labels.tolist(), data.chosen.tolist()):
+        out.append(TreeMatchInstance(
+            depth=data.depth,
+            counts=(counts[chosen],) + (0,) * (first_leaf - 1) + tuple(counts),
+            labels=(None,) * first_leaf + tuple(labels),
+            chosen=chosen,
+            target_label=labels[chosen],
+        ))
+    return out
 
 
 def features_by_loop(inst: TreeMatchInstance) -> np.ndarray:
-    """encode_features one node at a time: the reference for the scatter."""
+    """One instance's (n, feature_dim) features set node by node: the
+    reference for TreeMatchDataset.features' scatter."""
     width_counts = 2**inst.depth + 1
-    feats = np.zeros((inst.tree.n, inst.feature_dim))
-    for v in range(inst.tree.n):
+    n = len(inst.counts)
+    feats = np.zeros((n, width_counts + 2**inst.depth))
+    for v in range(n):
         feats[v, inst.counts[v]] = 1.0
         if inst.labels[v] is not None:
             feats[v, width_counts + inst.labels[v]] = 1.0
@@ -320,7 +403,7 @@ def features_by_loop(inst: TreeMatchInstance) -> np.ndarray:
 def prepare_data_by_instance(cfg: TrainConfig):
     """(feats, targets, adj, biadj) of training._prepare_data, built one
     instance at a time: tree_match_by_loop and features_by_loop per
-    sample, and one k_regular_bipartite call per overlay."""
+    sample, and one matchings_by_instance draw per overlay."""
     rng = SplitMix64(derive_seed(cfg.seed, DATA_STREAM))
     instances = [tree_match_by_loop(cfg.depth, rng) for _ in range(cfg.dataset_size)]
     tree = tree_graph(cfg.depth)
@@ -331,7 +414,8 @@ def prepare_data_by_instance(cfg: TrainConfig):
     root = derive_seed(cfg.seed, EXPANDER_STREAM)
     k = min(cfg.expander_k, tree.n)
     biadj = np.stack([
-        biadjacency_by_loop(k_regular_bipartite(GeneratorConfig(n=tree.n, k=k, seed=derive_seed(root, i))))
+        biadjacency_by_loop(make_bipartite_expander(tree.n, tree.n, k, matchings_by_instance(
+            GeneratorConfig(n=tree.n, k=k, seed=derive_seed(root, i)))))
         for i in range(cfg.dataset_size)
     ])
     feats = np.zeros((cfg.dataset_size, 2 * tree.n, raw.shape[2]))
@@ -363,10 +447,17 @@ def state_drawing_max_at(step: int) -> int:
     return (unmix(_MASK) - step * _GAMMA) & _MASK
 
 
+def seed_rejecting_draw(step: int) -> int:
+    """A seed s whose stream derive_seed(s, 0) has 2^64 - 1 as draw number
+    `step` (1-based), which next_below rejects for any bound that is not
+    a power of 2."""
+    return unmix(state_drawing_max_at(step)) ^ _mix(_GAMMA)
+
+
 def seed_rejecting_first_draw() -> int:
     """A seed s whose stream derive_seed(s, 0) starts with the draw
     2^64 - 1, so a first permutation below n (not a power of 2) rejects."""
-    return unmix(state_drawing_max_at(1)) ^ _mix(_GAMMA)
+    return seed_rejecting_draw(1)
 
 
 def augmented_adjacency(inst) -> np.ndarray:

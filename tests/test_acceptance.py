@@ -68,7 +68,7 @@ def test_criterion_1_construction_soundness(scorecard):
             b = k_regular_bipartite(GeneratorConfig(n=n, k=k, seed=seed))
             g = b.to_graph()
             ok = is_k_regular(g) == k
-            ok = ok and all(u < n <= v for u, v in g.edges())
+            ok = ok and all(u < n <= v for u, v in g.edge_array().tolist())
             ok = ok and all(len({m[l] for m in b.matchings}) == k for l in range(n))
             ok = ok and is_connected(g)
             if not ok:

@@ -17,7 +17,7 @@ from hyperexpand.graphs import MAX_VERTICES, GraphError, bipartition, check_matc
 from hyperexpand.rng import SplitMix64, derive_seed
 from hyperexpand.spectral import alon_boppana_reference, analyze
 
-from helpers import seed_rejecting_first_draw
+from helpers import matchings_by_instance, seed_rejecting_draw, seed_rejecting_first_draw
 
 
 def assert_valid(expander, n, k):
@@ -118,7 +118,7 @@ class TestKRegularBipartite:
     def test_n1_k1(self):
         b = k_regular_bipartite(GeneratorConfig(n=1, k=1))
         assert b.matchings == ((0,),)
-        assert b.to_graph().edges() == [(0, 1)]
+        assert b.to_graph().edge_array().tolist() == [[0, 1]]
 
     def test_n3_k3_forces_complete_bipartite(self):
         b = k_regular_bipartite(GeneratorConfig(n=3, k=3, seed=11))
@@ -192,12 +192,12 @@ class TestRamanujanBipartite:
 
 
 def per_instance(cfg: GeneratorConfig, seeds) -> list:
-    """k_regular_bipartite for each seed: a (k, n) array, or the
-    RetryBudgetExhausted it raised."""
+    """The reference draw (matchings_by_instance) for each seed: a (k, n)
+    array, or the RetryBudgetExhausted it raised."""
     outs = []
     for s in seeds:
         try:
-            outs.append(np.array(k_regular_bipartite(replace(cfg, seed=int(s))).matchings))
+            outs.append(matchings_by_instance(replace(cfg, seed=int(s))))
         except RetryBudgetExhausted as e:
             outs.append(e)
     return outs
@@ -235,8 +235,9 @@ def batch_seeds(n: int, k: int) -> list[int]:
 
 
 class TestBatch:
-    """k_regular_bipartite_batch against per-instance k_regular_bipartite
-    calls: 2061 seeds over every k in 1..n in the first test alone."""
+    """k_regular_bipartite_batch against the per-instance reference draw
+    (matchings_by_instance in helpers.py): 2061 seeds over every k in
+    1..n in the first test alone."""
 
     @pytest.mark.parametrize("require_connected", [True, False, None])
     @pytest.mark.parametrize("n", BATCH_SIDES)
@@ -256,7 +257,34 @@ class TestBatch:
         seeds = [3, seed, 4]
         got = k_regular_bipartite_batch(GeneratorConfig(n=n, k=3), seeds)
         for row, s in zip(got, seeds):
-            assert row.tolist() == list(map(list, k_regular_bipartite(GeneratorConfig(n=n, k=3, seed=s)).matchings))
+            assert row.tolist() == matchings_by_instance(GeneratorConfig(n=n, k=3, seed=s)).tolist()
+
+    @pytest.mark.parametrize("n", [7, 63])
+    def test_rejected_draw_in_a_later_candidate(self, n):
+        # draw n opens the second permutation, so the candidates drawn ahead
+        # of it in the same round start from states the instance never reaches
+        seed = seed_rejecting_draw(n)
+        r = SplitMix64(derive_seed(seed, 0))
+        assert [r.next_u64() for _ in range(n)][-1] == 2**64 - 1
+        for k, require_connected in ((3, True), (2, None), (n, False)):
+            cfg = GeneratorConfig(n=n, k=k, require_connected=require_connected, max_matching_retries=40)
+            assert_batch_matches(cfg, [seed, 3])
+            assert_batch_matches(cfg, [seed])
+
+    @pytest.mark.parametrize("rows,n", [(1, 63), (1, 64), (1, 65), (1, 1000), (2, 127), (2, 128), (2, 129)])
+    def test_long_rows(self, rows, n):
+        # both sides of the cut where permutation_rows gives each row its
+        # own swap chains (rows * 64 <= n) instead of column steps
+        seeds = [seed_rejecting_first_draw(), 5][:rows]
+        for k, require_connected in ((1, None), (2, False), (3, True)):
+            assert_batch_matches(GeneratorConfig(n=n, k=k, require_connected=require_connected), seeds)
+
+    def test_single_instance_is_the_batch_of_its_seed(self):
+        cfg = GeneratorConfig(n=65, k=3, seed=-1)  # seeds are read modulo 2^64
+        b = k_regular_bipartite(cfg)
+        assert (b.n_left, b.n_right, b.k) == (65, 65, 3)
+        assert np.array_equal(b.matchings, matchings_by_instance(cfg))
+        assert np.array_equal(b.matchings, k_regular_bipartite_batch(cfg, [2**64 - 1])[0])
 
     @pytest.mark.parametrize("budget", [0, 1])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

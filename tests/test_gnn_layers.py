@@ -196,7 +196,7 @@ class TestPermutationEquivariance:
         p = init_gin_params(SplitMix64(seed + 900), 4, 5, 4)
         out = gin_layer(h, g, p)
         perm = list(SplitMix64(seed + 77).permutation(g.n))
-        g2 = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        g2 = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_array().tolist()])
         h2 = np.empty_like(h)
         h2[perm] = h
         out2 = gin_layer(h2, g2, p)

@@ -19,6 +19,7 @@ from hyperexpand.graphs import (
     complete_graph,
     connected_rows,
     cycle_graph,
+    inverse_rows,
     is_connected,
     is_k_regular,
     make_bipartite_expander,
@@ -52,7 +53,7 @@ def floyd_warshall_diameter(g):
     dist = [[math.inf] * n for _ in range(n)]
     for v in range(n):
         dist[v][v] = 0
-    for u, v in g.edges():
+    for u, v in g.edge_array().tolist():
         dist[u][v] = dist[v][u] = 1
     for m in range(n):
         for i in range(n):
@@ -69,7 +70,7 @@ class TestBuildGraph:
         assert g.edge_count == 2
         assert g.adjacency_lists() == [[1], [0, 2], [1]]
         assert g.offsets.tolist() == [0, 1, 3, 4] and g.neighbors.tolist() == [1, 0, 2, 1]
-        assert g.edges() == [(0, 1), (1, 2)]
+        assert g.edge_array().tolist() == [[0, 1], [1, 2]]
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):
@@ -118,7 +119,7 @@ class TestPredicates:
         sides = bipartition(cycle_graph(6))
         assert sides is not None
         assert sides[0] == 0
-        for u, v in cycle_graph(6).edges():
+        for u, v in cycle_graph(6).edge_array().tolist():
             assert sides[u] != sides[v]
 
     def test_bipartition_odd_cycle_is_none(self):
@@ -153,7 +154,7 @@ class TestPredicates:
 class TestFamilies:
     def test_cycle(self):
         g = cycle_graph(4)
-        assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert g.edge_array().tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
 
     def test_cycle_rejects_small(self):
         with pytest.raises(GraphError):
@@ -187,7 +188,7 @@ class TestBipartiteExpander:
         b = make_bipartite_expander(2, 2, 1, ((1, 0),))
         g = b.to_graph()
         assert g.n == 4
-        assert g.edges() == [(0, 3), (1, 2)]
+        assert g.edge_array().tolist() == [[0, 3], [1, 2]]
 
     def test_is_k_regular_and_bipartite(self):
         b = make_bipartite_expander(3, 3, 3, ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -311,7 +312,7 @@ class TestMatchingNative:
         g = b.to_graph()
         assert g == to_graph_by_edges(b)
         assert g.offsets.dtype == g.neighbors.dtype == np.int64
-        assert b.is_connected() == is_connected(g)
+        assert connected_rows(b.matchings[None], inverse_rows(b.matchings)[None])[0] == is_connected(g)
 
     @settings(max_examples=400, deadline=None)
     @given(damaged_matchings())
@@ -353,15 +354,17 @@ class TestMatchingNative:
         rows = [((0, 1, 2, 3), (1, 0, 3, 2)), ((0, 1, 2, 3), (1, 2, 3, 0)), ((0, 1, 2, 3), (3, 2, 1, 0))]
         m = np.array(rows)
         inv = np.argsort(m, axis=2)
-        want = [make_bipartite_expander(4, 4, 2, r).is_connected() for r in rows]
+        want = [is_connected(make_bipartite_expander(4, 4, 2, r).to_graph()) for r in rows]
         assert connected_rows(m, inv).tolist() == want == [False, True, False]
+        assert np.array_equal(inverse_rows(m), inv)
 
     def test_disconnected_union(self):
         # two 2-cycles: lefts {0, 1} and {2, 3} never meet
         b = make_bipartite_expander(4, 4, 2, ((0, 1, 2, 3), (1, 0, 3, 2)))
-        assert b.is_connected() is False
+        assert connected_rows(b.matchings[None], inverse_rows(b.matchings)[None]).tolist() == [False]
         assert is_connected(b.to_graph()) is False
-        assert make_bipartite_expander(1, 1, 1, ((0,),)).is_connected() is True
+        one = make_bipartite_expander(1, 1, 1, ((0,),)).matchings[None]
+        assert connected_rows(one, inverse_rows(one)).tolist() == [True]
 
 
 # Integer ids as build_graph may meet them: in and out of range, bools,
@@ -440,7 +443,7 @@ class TestWholeArrayBuildGraph:
 def test_disjoint_union_relabels():
     g = disjoint_union(path_graph(2), path_graph(2))
     assert g.n == 4
-    assert g.edges() == [(0, 1), (2, 3)]
+    assert g.edge_array().tolist() == [[0, 1], [2, 3]]
 
 
 @st.composite
@@ -483,7 +486,6 @@ class TestCsrMatchesTupleReferences:
         g, t = build_graph(*case), tuple_graph_by_loop(*case)
         assert g.adjacency_lists() == [list(nbrs) for nbrs in t.adjacency]
         assert g.degrees() == t.degrees() and g.edge_count == t.edge_count
-        assert g.edges() == t.edges()
         assert np.array_equal(g.edge_array(), t.edge_array()) and g.edge_array().dtype == np.int64
 
     @settings(max_examples=300, deadline=None)

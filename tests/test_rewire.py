@@ -55,7 +55,7 @@ class TestAugment:
         assert inst.total_nodes == 4
         # the only 2-regular 2+2 bipartite graph is a 4-cycle
         view = inst.expander.to_graph()
-        assert sorted(view.edges()) == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert sorted(view.edge_array().tolist()) == [[0, 2], [0, 3], [1, 2], [1, 3]]
 
     def test_c4_k3_left_degrees(self):
         inst = augment(cycle_graph(4), GeneratorConfig(n=4, k=3, seed=5))
@@ -67,7 +67,7 @@ class TestAugment:
     def test_n1(self):
         inst = augment(build_graph(1, []), GeneratorConfig(n=1, k=1))
         assert inst.total_nodes == 2
-        assert inst.expander.to_graph().edges() == [(0, 1)]
+        assert inst.expander.to_graph().edge_array().tolist() == [[0, 1]]
 
     def test_cfg_n_overridden(self):
         g = path_graph(5)
@@ -119,7 +119,7 @@ class TestRewiredInstance:
     def test_expander_view_covers_both_sides(self, inst):
         view = inst.expander.to_graph()
         assert view.n == 8
-        assert all(u < 4 <= v for u, v in view.edges())
+        assert all(u < 4 <= v for u, v in view.edge_array().tolist())
 
     def test_validation(self, inst):
         with pytest.raises(ValueError, match="2n"):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperexpand.rng import (
-    _BLOCK_MIN_N,
     _GAMMA,
     _MASK,
     SplitMix64,
@@ -18,7 +17,7 @@ from hyperexpand.rng import (
     permutation_rows,
 )
 
-from helpers import state_drawing_max_at
+from helpers import scalar_permutation, state_drawing_max_at
 
 
 def test_known_stream_is_stable():
@@ -98,16 +97,7 @@ def test_permutation_uniform_over_small_n():
         assert abs(c - 1000) < 120
 
 
-def scalar_permutation(r: SplitMix64, n: int) -> list[int]:
-    """Fisher-Yates fed one next_below draw at a time: the reference."""
-    perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = r.next_below(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-SIZES = [1, 2, 23, 24, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 1000, 4097, 50000, 10**5]
+SIZES = [1, 2, 23, 24, 63, 64, 1000, 4097, 50000, 10**5]
 SEEDS = [0, 7, 2**64 - 1]
 
 
@@ -119,7 +109,7 @@ def test_permutation_matches_scalar_path(n, seed):
     assert block._state == scalar._state
 
 
-@pytest.mark.parametrize("n", [_BLOCK_MIN_N + 1, 1000, 4097, 50000, 10**5])
+@pytest.mark.parametrize("n", [7, 23, 65, 1000, 4097, 50000, 10**5])
 @pytest.mark.parametrize("step", [1, 3, "middle", "last"])
 def test_permutation_through_rejected_draws(n, step):
     # a state whose draw number `step` is 2^64 - 1, which next_below
@@ -130,6 +120,14 @@ def test_permutation_through_rejected_draws(n, step):
     block, scalar = SplitMix64(state), SplitMix64(state)
     assert block.permutation(n).tolist() == scalar_permutation(scalar, n)
     assert block._state == scalar._state != (state + (n - 1) * _GAMMA) & _MASK
+
+
+def test_permutation_n2_has_nothing_to_reject():
+    # the one draw of n=2 is below 2, a power of 2, so even 2^64 - 1 is taken
+    state = state_drawing_max_at(1)
+    block, scalar = SplitMix64(state), SplitMix64(state)
+    assert block.permutation(2).tolist() == scalar_permutation(scalar, 2) == [0, 1]
+    assert block._state == scalar._state == (state + _GAMMA) & _MASK
 
 
 def swap_loop(js: list[int]) -> list[int]:
@@ -180,7 +178,7 @@ def test_swap_chains_on_extreme_patterns(n):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", SIZES)
 def test_block_draws_match_next_below(n, seed):
-    # the block route itself, also below the size cut that permutation uses
+    # the block route itself, at every size permutation_rows and make_dataset use
     bounds = np.arange(n, 1, -1, dtype=np.uint64)
     block, scalar = SplitMix64(seed), SplitMix64(seed)
     assert block._below_block(bounds).tolist() == [scalar.next_below(int(b)) for b in bounds]
@@ -201,16 +199,28 @@ def test_block_draws_through_rejections(seed):
     assert block._state != (seed + len(bounds) * _GAMMA) & _MASK
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 23, 24, _BLOCK_MIN_N - 1, _BLOCK_MIN_N, 100])
+def assert_rows_match_scalar(states: list[int], n: int) -> None:
+    perms, after = permutation_rows(np.array(states, dtype=np.uint64), n)
+    assert perms.shape == (len(states), n) and perms.dtype == np.int64
+    for row, end, s in zip(perms.tolist(), after.tolist(), states):
+        r = SplitMix64(s)
+        assert row == scalar_permutation(r, n)
+        assert end == r._state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 23, 24, 63, 64, 100])
 def test_permutation_rows_match_permutation(n):
     # the last state's first draw is 2^64 - 1, which next_below(n) rejects
     # unless n is a power of 2
     states = [0, 7, 2**64 - 1, *(derive_seed(n, i) for i in range(20)), state_drawing_max_at(1)]
-    perms, after = permutation_rows(np.array(states, dtype=np.uint64), n)
-    for row, end, s in zip(perms.tolist(), after.tolist(), states):
-        r = SplitMix64(s)
-        assert row == r.permutation(n).tolist()
-        assert end == r._state
+    assert_rows_match_scalar(states, n)
+
+
+@pytest.mark.parametrize("rows,n", [(1, 2), (1, 64), (1, 1000), (2, 127), (2, 128), (3, 191), (3, 192)])
+def test_long_permutation_rows_match_permutation(rows, n):
+    # either side of the cut at rows * 64 <= n, where each row runs its
+    # own swap chains instead of the column steps
+    assert_rows_match_scalar([state_drawing_max_at(1), 7, 2**64 - 1][:rows], n)
 
 
 def test_derive_seeds_match_derive_seed():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperexpand import spectral
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
 from hyperexpand.graphs import (
     BipartiteExpander,
@@ -226,7 +227,7 @@ class TestSideBlock:
     @given(bipartite_graphs())
     def test_matches_loop(self, g):
         side = bipartition(g)
-        t = tuple_graph_by_loop(g.n, g.edges())
+        t = tuple_graph_by_loop(g.n, g.edge_array().tolist())
         assert np.array_equal(_side_block(g, side), side_block_by_loop(t, side))
 
 
@@ -245,6 +246,14 @@ class TestDenseCap:
             adjacency_eigenvalues(g, method=method)
         with pytest.raises(ValueError, match="MAX_DENSE_N"):
             analyze(g, method=method)
+
+    def test_analyze_refuses_before_two_colouring(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("two-coloured a graph above the cap")
+
+        monkeypatch.setattr(spectral, "bipartition", refuse)
+        with pytest.raises(ValueError, match=f"n={MAX_DENSE_N + 1}.*MAX_DENSE_N={MAX_DENSE_N}"):
+            analyze(cycle_graph(MAX_DENSE_N + 1))
 
 
 class TestJacobiCap:
@@ -390,6 +399,23 @@ class TestAnalyze:
     def test_non_regular_raises(self):
         with pytest.raises(NotRegularError):
             analyze(build_graph(3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_jacobi_lambda_2_a_few_ulps_above_k(self, derived):
+        # two 10-cycles: Jacobi gives the second eigenvalue 2 as 2.000000000000005
+        b = make_bipartite_expander(10, 10, 2, [range(10), [(i + 2) % 10 for i in range(10)]])
+        g = b.to_graph() if derived else b
+        jac, lap = analyze(g, method="jacobi"), analyze(g, method="lapack")
+        assert jac.eigenvalues[1] > 2.0
+        assert jac.is_connected is lap.is_connected is False
+        assert jac.lambda_2 == 2.0 and abs(jac.lambda_2 - lap.lambda_2) <= TOL
+        assert abs(jac.expander_constant_lb - lap.expander_constant_lb) <= TOL
+
+    def test_lambda_2_further_above_k_raises(self, monkeypatch):
+        eigs = np.array([2.0, 2.0 + 3 * TOL, 1.0, -1.0, -1.0, -2.0])  # band is 2 * TOL at k=2
+        monkeypatch.setattr(spectral, "adjacency_eigenvalues", lambda *args, **kwargs: eigs)
+        with pytest.raises(ValueError, match="exceeds k=2"):
+            analyze(cycle_graph(6))
 
     def test_dodziuk_interval_ordered(self):
         for g in (cycle_graph(7), petersen_graph(), circular_ladder_graph(6)):

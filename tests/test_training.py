@@ -19,7 +19,7 @@ from hyperexpand.gnn.training import (
     _working_set_floats,
     train,
 )
-from hyperexpand.gnn.treematch import MAX_DEPTH, TreeMatchInstance
+from hyperexpand.gnn.treematch import MAX_DEPTH
 from hyperexpand.graphs import BipartiteExpander
 from hyperexpand.rewire import LayerKind, layer_schedule
 
@@ -244,7 +244,6 @@ class TestPrepareData:
 
         monkeypatch.setattr(construct, "k_regular_bipartite", refuse)
         monkeypatch.setattr(BipartiteExpander, "biadjacency", refuse)
-        monkeypatch.setattr(TreeMatchInstance, "encode_features", refuse)
         batch, _, _ = _prepare_data(TrainConfig(depth=2, dataset_size=50, rewire=rewire))
         assert batch.feats.shape[0] == 50
 

@@ -3,17 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hyperexpand.gnn.treematch import (
-    MAX_DEPTH,
-    generate_tree_match,
-    leaf_ids,
-    make_dataset,
-    tree_graph,
-)
+from hyperexpand.gnn.treematch import MAX_DEPTH, leaf_ids, make_dataset, tree_graph
 from hyperexpand.graphs import bfs_diameter, is_connected
 from hyperexpand.rng import _GAMMA, _MASK, SplitMix64
 
-from helpers import features_by_loop, state_drawing_max_at, tree_match_by_loop
+from helpers import dataset_instances, features_by_loop, state_drawing_max_at, tree_match_by_loop
+
+
+def one_instance(depth: int, rng: SplitMix64):
+    """The size-one dataset and its instance record (helpers.py)."""
+    data = make_dataset(depth, 1, rng)
+    return data, dataset_instances(data)[0]
 
 
 class TestTreeGraph:
@@ -25,7 +25,7 @@ class TestTreeGraph:
         assert is_connected(g)
 
     def test_depth1_edges(self):
-        assert sorted(tree_graph(1).edges()) == [(0, 1), (0, 2)]
+        assert tree_graph(1).edge_array().tolist() == [[0, 1], [0, 2]]
 
     def test_children_rule(self):
         g = tree_graph(3)
@@ -51,79 +51,74 @@ class TestTreeGraph:
 
 class TestGenerate:
     def test_depth1_structure(self):
-        inst = generate_tree_match(1, SplitMix64(0))
-        assert inst.tree.n == 3
-        assert inst.num_classes == 2
-        assert inst.root_id == 0
-        leaf_labels = [inst.labels[v] for v in leaf_ids(1)]
-        assert sorted(leaf_labels) == [0, 1]
+        data, inst = one_instance(1, SplitMix64(0))
+        assert len(inst.counts) == 3
+        assert data.features(3).shape[2] == (2 + 1) + 2  # 2 classes
+        assert sorted(data.leaf_labels[0].tolist()) == [0, 1]
+        assert inst.labels[0] is None and inst.counts[0] > 0  # the root
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_counts_and_labels_are_permutations(self, depth):
         for seed in range(5):
-            inst = generate_tree_match(depth, SplitMix64(seed))
-            leaves = list(leaf_ids(depth))
-            counts = [inst.counts[v] for v in leaves]
-            labels = [inst.labels[v] for v in leaves]
-            assert sorted(counts) == list(range(1, 2**depth + 1))
-            assert sorted(labels) == list(range(2**depth))
+            data = make_dataset(depth, 1, SplitMix64(seed))
+            assert sorted(data.leaf_counts[0].tolist()) == list(range(1, 2**depth + 1))
+            assert sorted(data.leaf_labels[0].tolist()) == list(range(2**depth))
 
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_exactly_one_leaf_matches_root(self, depth):
         for seed in range(10):
-            inst = generate_tree_match(depth, SplitMix64(seed))
+            data, inst = one_instance(depth, SplitMix64(seed))
             matching = [v for v in leaf_ids(depth) if inst.counts[v] == inst.counts[0]]
             assert len(matching) == 1
-            assert inst.target_label == inst.labels[matching[0]]
+            assert data.targets()[0] == inst.target_label == inst.labels[matching[0]]
 
     def test_inner_nodes_carry_nothing(self):
-        inst = generate_tree_match(3, SplitMix64(4))
-        inner = set(range(inst.tree.n)) - set(leaf_ids(3)) - {0}
+        data, inst = one_instance(3, SplitMix64(4))
+        feats = data.features(15)[0]
+        inner = set(range(15)) - set(leaf_ids(3)) - {0}
         for v in inner:
-            assert inst.counts[v] == 0
-            assert inst.labels[v] is None
+            assert inst.counts[v] == 0 and inst.labels[v] is None
+            assert feats[v].tolist() == [1.0] + [0.0] * (feats.shape[1] - 1)  # count 0, no label
         assert inst.labels[0] is None
 
     def test_deterministic(self):
-        a = generate_tree_match(2, SplitMix64(123))
-        b = generate_tree_match(2, SplitMix64(123))
-        assert a == b
+        a = make_dataset(2, 1, SplitMix64(123))
+        b = make_dataset(2, 1, SplitMix64(123))
+        assert dataset_instances(a) == dataset_instances(b)
 
     def test_depth_bounds(self):
         with pytest.raises(ValueError, match="depth"):
-            generate_tree_match(0, SplitMix64(0))
+            make_dataset(0, 1, SplitMix64(0))
         with pytest.raises(ValueError, match="depth"):
-            generate_tree_match(MAX_DEPTH + 1, SplitMix64(0))
-        generate_tree_match(MAX_DEPTH, SplitMix64(0))
+            make_dataset(MAX_DEPTH + 1, 1, SplitMix64(0))
+        make_dataset(MAX_DEPTH, 1, SplitMix64(0))
 
 
 class TestEncoding:
     def test_feature_dim(self):
-        inst = generate_tree_match(2, SplitMix64(1))
-        assert inst.feature_dim == 5 + 4
-        feats = inst.encode_features()
-        assert feats.shape == (7, 9)
+        feats = make_dataset(2, 1, SplitMix64(1)).features(7)
+        assert feats.shape == (1, 7, 5 + 4)
 
     def test_rows_are_one_or_two_hot(self):
-        inst = generate_tree_match(2, SplitMix64(2))
-        feats = inst.encode_features()
-        for v in range(inst.tree.n):
+        data, inst = one_instance(2, SplitMix64(2))
+        feats = data.features(7)[0]
+        for v in range(7):
             expected = 1.0 if inst.labels[v] is None else 2.0
             assert feats[v].sum() == expected
             assert set(np.unique(feats[v])) <= {0.0, 1.0}
 
     def test_count_slot_positions(self):
-        inst = generate_tree_match(2, SplitMix64(3))
-        feats = inst.encode_features()
+        data, inst = one_instance(2, SplitMix64(3))
+        feats = data.features(7)[0]
         width = 2**inst.depth + 1
-        for v in range(inst.tree.n):
+        for v in range(7):
             assert feats[v, inst.counts[v]] == 1.0
             if inst.labels[v] is not None:
                 assert feats[v, width + inst.labels[v]] == 1.0
 
     def test_root_and_matching_leaf_share_count_slot(self):
-        inst = generate_tree_match(3, SplitMix64(9))
-        feats = inst.encode_features()
+        data, inst = one_instance(3, SplitMix64(9))
+        feats = data.features(15)[0]
         leaf = next(v for v in leaf_ids(3) if inst.counts[v] == inst.counts[0])
         assert np.array_equal(
             feats[0, : 2**3 + 1], feats[leaf, : 2**3 + 1]
@@ -134,10 +129,7 @@ class TestDistribution:
     def test_targets_uniform_chi_squared(self):
         # depth 2 has 4 classes; 1000 draws, chi^2 critical value for
         # df=3 at p=0.01 is 11.345
-        rng = SplitMix64(2718)
-        counts = [0, 0, 0, 0]
-        for _ in range(1000):
-            counts[generate_tree_match(2, rng).target_label] += 1
+        counts = np.bincount(make_dataset(2, 1000, SplitMix64(2718)).targets(), minlength=4).tolist()
         expected = 250.0
         chi2 = sum((c - expected) ** 2 / expected for c in counts)
         assert chi2 < 11.345, f"chi2={chi2}, counts={counts}"
@@ -147,7 +139,7 @@ class TestDataset:
     def test_size_and_variety(self):
         data = make_dataset(2, 50, SplitMix64(7))
         assert len(data) == 50
-        assert len({inst.target_label for inst in data}) == 4
+        assert len(set(data.targets().tolist())) == 4
 
     def test_size_validated(self):
         with pytest.raises(ValueError, match="size"):
@@ -165,13 +157,12 @@ class TestDatasetBlock:
             block, loop = SplitMix64(state), SplitMix64(state)
             data = make_dataset(depth, size, block)
             want = [tree_match_by_loop(depth, loop) for _ in range(size)]
-            assert list(data) == want
+            assert dataset_instances(data) == want
             assert block._state == loop._state
             n = tree_graph(depth).n
             assert np.array_equal(data.features(n), np.stack([features_by_loop(i) for i in want]))
             assert np.array_equal(data.features(2 * n)[:, n:], np.zeros((size, n, 2 ** (depth + 1) + 1)))
             assert data.targets().tolist() == [i.target_label for i in want]
-            assert all(np.array_equal(i.encode_features(), features_by_loop(i)) for i in want)
 
     @pytest.mark.parametrize("depth", range(2, MAX_DEPTH + 1))
     def test_rejected_draw_is_redrawn(self, depth):
@@ -179,12 +170,12 @@ class TestDatasetBlock:
         start = state_drawing_max_at(2)
         block, loop = SplitMix64(start), SplitMix64(start)
         data = make_dataset(depth, 2, block)
-        assert list(data) == [tree_match_by_loop(depth, loop) for _ in range(2)]
+        assert dataset_instances(data) == [tree_match_by_loop(depth, loop) for _ in range(2)]
         assert block._state == loop._state
         draws = 2 * (2 ** (depth + 1) - 1)  # two instances, none rejected
         assert block._state == (start + (draws + 1) * _GAMMA) & _MASK
 
     def test_single_instance_is_the_size_one_dataset(self):
         a, b = SplitMix64(11), SplitMix64(11)
-        assert generate_tree_match(4, a) == make_dataset(4, 1, b)[0]
+        assert tree_match_by_loop(4, a) == one_instance(4, b)[1]
         assert a._state == b._state
