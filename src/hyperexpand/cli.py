@@ -12,6 +12,7 @@ golden-file stability.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -217,6 +218,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _CliParser:
     parser = _CliParser(prog="hyperexpand", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"hyperexpand {TOOL_VERSION}")

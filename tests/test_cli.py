@@ -707,6 +707,39 @@ class TestParser:
         assert entry(["--version"]) == EXIT_OK
         assert "hyperexpand" in capsys.readouterr().out
 
+    # One parser serves every entry call in a process; a usage error in the
+    # middle of the sequence must leave it as it was.
+    SEQUENCE = [
+        ["generate", "--n", "10", "--k", "3", "--seed", "2", "--format", "edgelist", "--out", "g.edges"],
+        ["analyze", "--in", "g.edges", "--out", "a.json"],
+        ["verify", "--in", "g.edges", "--out", "v.json"],
+        ["analyze", "--in", "g.edges", "--method", "lanczos", "--out", "bad.json"],
+        ["rewire", "--in", "g.edges", "--k", "3", "--seed", "5", "--out", "r.json"],
+        ["analyze", "--in", "g.edges", "--method", "jacobi", "--out", "j.json"],
+    ]
+    CHILD = (
+        "import json, sys\n"
+        "from hyperexpand.cli import build_parser, entry\n"
+        "codes = [entry(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, build_parser.cache_info().misses]))\n"
+    )
+
+    def test_one_process_matches_fresh_processes(self, tmp_path):
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        one.mkdir()
+        fresh.mkdir()
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(self.SEQUENCE)], capture_output=True,
+                              text=True, env=child_env(), cwd=one, timeout=120)
+        assert json.loads(proc.stdout) == [[0, 0, 0, 1, 0, 0], 1], proc.stderr
+        for argv in self.SEQUENCE:
+            proc = subprocess.run([sys.executable, "-m", "hyperexpand", *argv], capture_output=True,
+                                  text=True, env=child_env(), cwd=fresh, timeout=120)
+            assert proc.returncode == (EXIT_USAGE if "lanczos" in argv else EXIT_OK), proc.stderr
+        names = ["g.edges", "a.json", "v.json", "r.json", "j.json"]
+        assert sorted(p.name for p in one.iterdir()) == sorted(names)
+        for name in names:
+            assert (one / name).read_bytes() == (fresh / name).read_bytes(), name
+
 
 def test_module_entry_point():
     proc = run_module(["generate", "--n", "2", "--k", "1"])

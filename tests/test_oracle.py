@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,9 +40,10 @@ from helpers import disjoint_union
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_golden.json"
 
 
-def gray_code_expansion(g, mode):
-    """Independent reference: walk subsets in Gray-code order, maintaining
-    the boundary incrementally, and keep the best (ratio, size, subset) key.
+def gray_code_walk(g):
+    """Independent reference: walk the nonempty subsets in Gray-code order,
+    maintaining the boundaries incrementally, and yield (mask, size,
+    |N(A) \\ A|, edges between A and its complement) for each.
 
     Deliberately shares no code with the table-based oracle.
     """
@@ -49,16 +51,15 @@ def gray_code_expansion(g, mode):
     adj = [sorted(nbrs) for nbrs in g.adjacency_lists()]
     in_a = [False] * n
     nbr_in = [0] * n  # neighbours currently inside A
-    subset: set[int] = set()
+    mask = 0
     size = 0
     vert_boundary = 0  # |N(A) \ A|
     cut = 0  # edges between A and its complement
-    best = None
     for i in range(1, 1 << n):
         v = (i & -i).bit_length() - 1
+        mask ^= 1 << v
         if in_a[v]:
             in_a[v] = False
-            subset.discard(v)
             size -= 1
             for u in adj[v]:
                 nbr_in[u] -= 1
@@ -69,7 +70,6 @@ def gray_code_expansion(g, mode):
                 vert_boundary += 1
         else:
             in_a[v] = True
-            subset.add(v)
             size += 1
             if nbr_in[v] > 0:
                 vert_boundary -= 1
@@ -78,12 +78,37 @@ def gray_code_expansion(g, mode):
                 if not in_a[u] and nbr_in[u] == 1:
                     vert_boundary += 1
                 cut += -1 if in_a[u] else 1
-        if 1 <= size <= n // 2:
+        yield mask, size, vert_boundary, cut
+
+
+def gray_code_expansion(g, mode):
+    """The best (ratio, size, subset) key over the admissible subsets."""
+    best = None
+    for mask, size, vert_boundary, cut in gray_code_walk(g):
+        if 1 <= size <= g.n // 2:
             value = vert_boundary if mode == "vertex" else cut
-            key = (Fraction(value, size), size, tuple(sorted(subset)))
+            subset = tuple(v for v in range(g.n) if mask >> v & 1)
+            key = (Fraction(value, size), size, subset)
             if best is None or key < best:
                 best = key
     return best
+
+
+def gray_code_worst(g, gap):
+    """The smallest (margin, mask, ratio, bound) of the spectral vertex-
+    expansion inequality over the admissible subsets, where margin is
+    |N(A) \\ A| / |A| - gap * (n - |A|) / n in floats; ties go to the
+    smallest mask."""
+    n = g.n
+    worst = None
+    for mask, size, vert_boundary, _ in gray_code_walk(g):
+        if 1 <= size <= n // 2:
+            ratio = vert_boundary / size
+            bound = gap * (n - size) / n
+            cand = (ratio - bound, mask, ratio, bound)
+            if worst is None or cand < worst:
+                worst = cand
+    return worst
 
 
 def random_graph(seed):
@@ -170,6 +195,51 @@ class TestChunkedScan:
             assert_matches_gray_code(g, mode)
 
 
+class TestWorstMarginReference:
+    """The worst margin of the spectral vertex-expansion inequality against
+    the Gray-code walk, at every chunk width."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs_every_width(self, seed, monkeypatch):
+        g = random_graph(seed)
+        lambda_2 = np.linalg.eigvalsh(g.adjacency_matrix())[-2]
+        for gap in (0.0, 0.5, max(g.degrees()) - lambda_2):
+            want = gray_code_worst(g, gap)
+            for width in range(1, g.n + 1):
+                monkeypatch.setattr(oracle, "_CHUNK_BITS", width)
+                assert oracle._scan(g, gap)[2] == want, f"gap {gap}, width {width}"
+
+
+def boundary_sizes(g, subset):
+    """(|N(A) \\ A|, edges leaving A), counted straight from the adjacency."""
+    a = set(subset)
+    adj = g.adjacency_lists()
+    outer = {u for v in a for u in adj[v]} - a
+    return len(outer), sum(u not in a for v in a for u in adj[v])
+
+
+class TestRelabelledCorpus:
+    """The benchmark relabels its corpus at random, so any vertex can land
+    in the high bits of a mask; the exact values may not move."""
+
+    @pytest.mark.parametrize("m,s", [(10, 2), (10, 3), (11, 1), (11, 2), (12, 5)])
+    def test_invariant_under_relabelling(self, m, s):
+        g = generalized_petersen(m, s)
+        want = verify_bounds(g)
+        rng = SplitMix64(100 * m + s)
+        for _ in range(3):
+            perm = rng.permutation(g.n).tolist()
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edge_array().tolist()])
+            got = verify_bounds(h)
+            assert got.vertex.fraction() == want.vertex.fraction()
+            assert got.edge.fraction() == want.edge.fraction()
+            worst = got.check("spectral_vertex_expansion").detail["worst_margin"]
+            assert worst == pytest.approx(want.check("spectral_vertex_expansion").detail["worst_margin"], abs=1e-9)
+            assert boundary_sizes(h, got.vertex.subset)[0] == got.vertex.boundary_size
+            assert boundary_sizes(h, got.edge.subset)[1] == got.edge.boundary_size
+            assert not got.has_unexpected()
+
+
 class TestGoldenVerify:
     """verify_bounds on the 20-24-vertex corpus, pinned byte for byte."""
 
@@ -179,15 +249,21 @@ class TestGoldenVerify:
         got = verify_bounds(generalized_petersen(m, s)).to_dict()
         assert dumps_canonical(got) == dumps_canonical(want)
 
-    def test_memory_bounded(self):
-        g = generalized_petersen(11, 1)
+    @staticmethod
+    def peak_bytes(g):
         tracemalloc.start()
         try:
             verify_bounds(g)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+
+    def test_memory_bounded(self):
+        assert self.peak_bytes(generalized_petersen(11, 1)) < 32 * 2**20
+
+    def test_memory_bounded_at_cap(self):
+        # at n=24 the edge rows hold (n - _CHUNK_BITS) * 2^15 entries
+        assert self.peak_bytes(generalized_petersen(12, 5)) < 32 * 2**20
 
 
 class TestKnownWitnesses:
