@@ -23,7 +23,7 @@ from .graphs import GraphError
 from .oracle import OracleDomainError, verify_bounds
 from .rewire import augment
 from .serialize import bipartite_to_dict, dumps_canonical, edgelist_dumps, load_graph_file
-from .spectral import EigensolverError, NotRegularError, analyze
+from .spectral import DEFAULT_TOLERANCE, EigensolverError, NotRegularError, analyze
 from .gnn import HyperedgeMode, TrainConfig, TrainingDiverged, train
 
 TOOL_VERSION = __version__
@@ -230,23 +230,23 @@ def build_parser() -> _CliParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ramanujan", action="store_true", help="rejection-sample on lambda <= 2 sqrt(k-1)")
     p.add_argument("--require-connected", choices=["auto", "yes", "no"], default="auto")
-    p.add_argument("--max-matching-retries", type=int, default=1000)
-    p.add_argument("--max-ramanujan-attempts", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--max-matching-retries", type=int, default=GeneratorConfig.max_matching_retries)
+    p.add_argument("--max-ramanujan-attempts", type=int, default=GeneratorConfig.max_ramanujan_attempts)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--format", choices=["json", "edgelist"], default="json")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("analyze", help="spectral report for a regular graph")
     p.add_argument("--in", dest="input", required=True, help="graph file (json or edge list)")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--method", choices=["auto", "lapack", "jacobi"], default="auto")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="check spectral bounds against brute force (n <= 24)")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -256,7 +256,7 @@ def build_parser() -> _CliParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--layers", type=int, default=6)
     p.add_argument("--ramanujan", action="store_true")
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_rewire)
 

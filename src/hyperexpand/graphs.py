@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,66 +191,53 @@ def is_k_regular(g: Graph) -> int | None:
     return int(degrees[0])
 
 
+def _bfs(adjacency: list[list[int]], source: int, dist: list[int]) -> list[int]:
+    """Breadth-first search from source through the vertices whose dist is
+    -1, writing each one's distance from source into dist. Returns the
+    reached vertices in visiting order, so the last is a farthest one."""
+    dist[source] = 0
+    queue = [source]
+    for u in queue:  # the loop reaches the vertices appended as it goes
+        d = dist[u] + 1
+        for v in adjacency[u]:
+            if dist[v] == -1:
+                dist[v] = d
+                queue.append(v)
+    return queue
+
+
 def bipartition(g: Graph) -> list[int] | None:
     """Two-colour g by BFS; None iff some component has an odd cycle.
 
-    Deterministic: the lowest-id vertex of each component gets side 0.
+    Deterministic: the lowest-id vertex of each component gets side 0,
+    and every vertex the parity of its distance from it. g is bipartite
+    iff no arc joins two vertices of equal parity.
     """
     adjacency = g.adjacency_lists()
-    side = [-1] * g.n
+    dist = [-1] * g.n
     for start in range(g.n):
-        if side[start] != -1:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if side[v] == -1:
-                    side[v] = 1 - side[u]
-                    queue.append(v)
-                elif side[v] == side[u]:
-                    return None
-    return side
-
-
-def _bfs_eccentricity(adjacency: list[list[int]], source: int) -> tuple[int, int]:
-    """(eccentricity, number of reached vertices) from source."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = deque([source])
-    ecc = 0
-    reached = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                ecc = max(ecc, dist[v])
-                reached += 1
-                queue.append(v)
-    return ecc, reached
+        if dist[start] == -1:
+            _bfs(adjacency, start, dist)
+    side = np.array(dist, dtype=np.int64) & 1
+    src, dst = g.arcs()
+    return None if (side[src] == side[dst]).any() else side.tolist()
 
 
 def bfs_diameter(g: Graph) -> int | float:
     """Exact diameter via all-pairs BFS; math.inf if disconnected, O(n(n+m))."""
-    if g.n == 0:
-        return 0
     adjacency = g.adjacency_lists()
     diameter = 0
     for source in range(g.n):
-        ecc, reached = _bfs_eccentricity(adjacency, source)
-        if reached < g.n:
+        dist = [-1] * g.n
+        order = _bfs(adjacency, source, dist)
+        if len(order) < g.n:
             return math.inf
-        diameter = max(diameter, ecc)
+        diameter = max(diameter, dist[order[-1]])
     return diameter
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    _, reached = _bfs_eccentricity(g.adjacency_lists(), 0)
-    return reached == g.n
+    return g.n == 0 or len(_bfs(g.adjacency_lists(), 0, [-1] * g.n)) == g.n
 
 
 @dataclass(frozen=True, eq=False)

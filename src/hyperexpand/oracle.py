@@ -18,23 +18,15 @@ independent of float rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, bfs_diameter, bipartition, is_connected, is_k_regular
-from .spectral import (
-    DEFAULT_TOLERANCE,
-    NotRegularError,
-    adjacency_eigenvalues,
-    check_tolerance,
-    chung_diameter_bound,
-    dodziuk_bounds,
-    expander_constant_lower_bound,
-    nontrivial_lambda,
-)
+from .graphs import Graph, bfs_diameter, is_connected, is_k_regular
+from .spectral import DEFAULT_TOLERANCE, NotRegularError, analyze, check_tolerance, chung_diameter_bound
 
 MAX_ORACLE_N = 24
 
@@ -98,29 +90,39 @@ def _mask_to_subset(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _low_tables(nbr: list[int], deg: list[int], low: int):
-    """Tables over the subsets of vertices 0..low-1, ordered by size and,
-    within a size, lexicographically by subset.
-
-    Returns (masks, neighbour unions, edge-boundary sizes, starts), where
-    the subsets of size j occupy starts[j]:starts[j + 1]. Doubling DP: the
-    subsets containing vertex b are the ones below 2^b, each plus b.
+@functools.cache
+def _subset_order(low: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The subsets of vertices 0..low-1 as a read-only array of masks,
+    ordered by size and, within a size, lexicographically by subset; and
+    the starts, where the subsets of size j occupy starts[j]:starts[j + 1].
     """
-    masks = np.arange(1 << low, dtype=np.uint32)
+    rev = np.zeros(1, dtype=np.uint32)  # masks bit-reversed within low bits
+    for b in range(low):
+        rev = np.concatenate((rev, rev | np.uint32(1 << (low - 1 - b))))
+    sizes = np.bitwise_count(np.arange(1 << low, dtype=np.uint32))
+    # Between subsets of equal size, the larger bit-reversed mask is the
+    # lexicographically smaller subset.
+    order = np.lexsort((~rev, sizes)).astype(np.uint32)
+    order.flags.writeable = False
+    return order, tuple(np.searchsorted(sizes[order], np.arange(low + 2)).tolist())
+
+
+def _low_tables(nbr: list[int], deg: list[int], low: int):
+    """Tables over the subsets of vertices 0..low-1, in _subset_order.
+
+    Returns (masks, neighbour unions, edge-boundary sizes, starts).
+    Doubling DP: the subsets containing vertex b are the ones below 2^b,
+    each plus b.
+    """
+    masks, starts = _subset_order(low)
+    ids = np.arange(1 << low, dtype=np.uint32)
     union = np.zeros(1, dtype=np.uint32)
     cut = np.zeros(1, dtype=np.int16)
-    rev = np.zeros(1, dtype=np.uint32)  # masks bit-reversed within low bits
     for b in range(low):
         m = np.uint32(nbr[b])
         union = np.concatenate((union, union | m))
-        cut = np.concatenate((cut, cut + deg[b] - 2 * np.bitwise_count(masks[: 1 << b] & m)))
-        rev = np.concatenate((rev, rev | np.uint32(1 << (low - 1 - b))))
-    sizes = np.bitwise_count(masks)
-    # Between subsets of equal size, the larger bit-reversed mask is the
-    # lexicographically smaller subset.
-    order = np.lexsort((~rev, sizes))
-    starts = np.searchsorted(sizes[order], np.arange(low + 2)).tolist()
-    return masks[order], union[order], cut[order], starts
+        cut = np.concatenate((cut, cut + deg[b] - 2 * np.bitwise_count(ids[: 1 << b] & m)))
+    return masks, union[masks], cut[masks], starts
 
 
 def _scan(g: Graph, gap: float | None = None):
@@ -286,14 +288,17 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
     """Check the diameter bound, the edge-expansion sandwich, and the
     spectral vertex-expansion inequality against exhaustive ground truth.
 
+    The spectral side is analyze's certificate. The diameter bound is
+    computed here from its nontrivial lambda, because analyze withholds
+    it when lambda_2 falls in the trivial band of a wide tolerance.
+
     The vertex-expansion inequality is a diagnostic, not an assertion: it
     fails on bipartite graphs (one full side achieves ratio 1 against a
     larger spectral bound), so bipartite violations are flagged
     known-discrepancy rather than unexpected.
     """
     check_tolerance(tolerance)
-    k = is_k_regular(g)
-    if k is None:
+    if is_k_regular(g) is None:
         raise NotRegularError("verify_bounds requires a k-regular graph")
     if g.n < 2:
         raise OracleDomainError("verify_bounds needs n >= 2")
@@ -301,71 +306,51 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
         raise ValueError("verify_bounds requires a connected graph")
     _check_domain(g)
 
-    eigs = adjacency_eigenvalues(g, tolerance)
-    lam = nontrivial_lambda(eigs, k, tolerance)
-    lambda_2 = float(eigs[1])
-    bip = bipartition(g) is not None
+    spec = analyze(g, tolerance)
+    k, lam, bip = spec.k, spec.lambda_nontrivial, spec.is_bipartite
     diameter = int(bfs_diameter(g))
-    gap = k - lambda_2
-    vertex_key, edge_key, worst = _scan(g, gap)
+    vertex_key, edge_key, worst = _scan(g, k - spec.lambda_2)
     vertex = _witness(vertex_key, "vertex")
     edge = _witness(edge_key, "edge")
-    checks: list[BoundCheck] = []
 
-    # Diameter vs the spectral bound.
+    # Diameter vs the spectral bound, and edge expansion inside the
+    # spectral sandwich; both need a nontrivial lambda.
     if lam is None:
-        checks.append(BoundCheck("chung_diameter", None, float(diameter), STATUS_SKIPPED))
+        chung = BoundCheck("chung_diameter", None, float(diameter), STATUS_SKIPPED)
+        dodziuk = BoundCheck("dodziuk_interval", None, edge.ratio, STATUS_SKIPPED)
     else:
-        lam_bound = 0.0 if lam <= tolerance else lam
-        bound = chung_diameter_bound(g.n, k, lam_bound, bip)
+        bound = chung_diameter_bound(g.n, k, 0.0 if lam <= tolerance else lam, bip)
         ok = diameter <= bound + 1e-9
-        checks.append(
-            BoundCheck(
-                "chung_diameter",
-                bound,
-                float(diameter),
-                STATUS_PASS if ok else STATUS_UNEXPECTED,
-            )
-        )
-
-    # Edge expansion inside the spectral sandwich.
-    if lam is None:
-        checks.append(BoundCheck("dodziuk_interval", None, edge.ratio, STATUS_SKIPPED))
-    else:
-        lower, upper = dodziuk_bounds(k, min(lam, float(k)))
+        chung = BoundCheck("chung_diameter", bound, float(diameter), STATUS_PASS if ok else STATUS_UNEXPECTED)
+        lower, upper = spec.dodziuk_lower, spec.dodziuk_upper
         ok = lower - tolerance <= edge.ratio <= upper + tolerance
-        checks.append(
-            BoundCheck(
-                "dodziuk_interval",
-                None,
-                edge.ratio,
-                STATUS_PASS if ok else STATUS_UNEXPECTED,
-                detail={"lower": lower, "upper": upper},
-            )
+        dodziuk = BoundCheck(
+            "dodziuk_interval",
+            None,
+            edge.ratio,
+            STATUS_PASS if ok else STATUS_UNEXPECTED,
+            detail={"lower": lower, "upper": upper},
         )
 
     # Vertex expansion vs (k - lambda_2)|V \ A| / |V|, per admissible subset.
     worst_margin, worst_mask, worst_ratio, worst_bound = worst
-    violated = worst_margin < -tolerance
-    if not violated:
+    if worst_margin >= -tolerance:
         status = STATUS_PASS
     elif bip:
         status = STATUS_KNOWN
     else:
         status = STATUS_UNEXPECTED
-    checks.append(
-        BoundCheck(
-            "spectral_vertex_expansion",
-            expander_constant_lower_bound(k, lambda_2),
-            vertex.ratio,
-            status,
-            detail={
-                "worst_margin": worst_margin,
-                "worst_subset": list(_mask_to_subset(worst_mask)),
-                "worst_ratio": worst_ratio,
-                "worst_bound": worst_bound,
-            },
-        )
+    expansion = BoundCheck(
+        "spectral_vertex_expansion",
+        spec.expander_constant_lb,
+        vertex.ratio,
+        status,
+        detail={
+            "worst_margin": worst_margin,
+            "worst_subset": list(_mask_to_subset(worst_mask)),
+            "worst_ratio": worst_ratio,
+            "worst_bound": worst_bound,
+        },
     )
 
     return BoundReport(
@@ -373,10 +358,10 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
         k=k,
         is_bipartite=bip,
         lambda_nontrivial=lam,
-        lambda_2=lambda_2,
+        lambda_2=spec.lambda_2,
         diameter=diameter,
         vertex=vertex,
         edge=edge,
-        checks=tuple(checks),
+        checks=(chung, dodziuk, expansion),
         tolerance=tolerance,
     )

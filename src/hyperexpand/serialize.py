@@ -169,9 +169,8 @@ def edgelist_dumps(g: Graph | BipartiteExpander) -> str:
     An expander is written as its derived graph, straight from the
     column-sorted matchings, without building that graph.
     """
-    n = g.n if isinstance(g, Graph) else g.n_left + g.n_right
     edges = g.edge_array()
-    return f"# n={n}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    return f"# n={g.n}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
 
 
 # In text with a "\n" before every line and no other line break: a line
@@ -268,11 +267,8 @@ def load_graph_file(path: str | Path) -> Graph:
             return g
         result = d.get("result")
         if isinstance(result, dict):
-            candidates = [result] + [
-                v for k, v in result.items() if isinstance(v, dict) and k in ("expander", "graph")
-            ]
-            for candidate in candidates:
-                g = _graph_from_payload(candidate)
+            for candidate in (result, result.get("expander")):
+                g = _graph_from_payload(candidate) if isinstance(candidate, dict) else None
                 if g is not None:
                     return g
             raise ValueError("envelope contains no graph payload")

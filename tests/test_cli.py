@@ -45,7 +45,6 @@ def no_eigensolve(monkeypatch):
         raise AssertionError("eigensolve reached")
 
     monkeypatch.setattr("hyperexpand.spectral.adjacency_eigenvalues", refuse)
-    monkeypatch.setattr("hyperexpand.oracle.adjacency_eigenvalues", refuse)
 
 
 def run_module(argv, address_space=None, cpus=None):

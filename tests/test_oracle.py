@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperexpand.oracle as oracle
+import hyperexpand.spectral as spectral
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
 from hyperexpand.graphs import (
+    bipartition,
     build_graph,
     circular_ladder_graph,
     complete_bipartite_graph,
@@ -440,3 +442,24 @@ class TestVerifyBounds:
     def test_unknown_check_name(self, c6):
         with pytest.raises(KeyError):
             verify_bounds(c6).check("nope")
+
+    def test_large_tolerance_report(self):
+        # At tolerance 0.3, lambda_2 = sqrt(5) falls in the trivial band,
+        # so analyze withholds the diameter bound; verify still reports
+        # it, from the nontrivial lambda 2.
+        want = json.loads(GOLDEN_VERIFY.read_text())["GP(10,2) tolerance=0.3"]
+        got = verify_bounds(generalized_petersen(10, 2), tolerance=0.3).to_dict()
+        assert dumps_canonical(got) == dumps_canonical(want)
+
+    def test_two_colours_once(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return bipartition(g)
+
+        for module in (spectral, oracle):
+            if hasattr(module, "bipartition"):
+                monkeypatch.setattr(module, "bipartition", counted)
+        verify_bounds(generalized_petersen(10, 3))
+        assert calls == [20]
