@@ -1,7 +1,9 @@
 """Command-line surface: generate, analyze, verify, rewire, train.
 
-Every output file embeds the effective flag set under "config" plus the
-tool version, so any artifact can be regenerated from its own header.
+Every output file embeds the parsed flags under "config" (all but the
+output paths, in the order the parser declares them; train's --seeds
+list stands for --seed) plus the tool version, so any artifact can be
+regenerated from its own header.
 Exit codes: 0 success, 1 usage or input error, 2 retry budget exhausted,
 3 numerical failure.
 
@@ -58,6 +60,17 @@ def _envelope(config: dict, result: dict) -> dict:
     return {"config": config, "tool_version": TOOL_VERSION, "result": result}
 
 
+def _config(args) -> dict:
+    """The "config" echo: the subcommand, then each parsed flag in the
+    parser's declaration order under its dest name, --in keyed "in",
+    without the output paths (--out, --csv)."""
+    return {
+        "in" if key == "input" else key: value
+        for key, value in vars(args).items()
+        if key not in ("func", "out", "csv")
+    }
+
+
 def _tri_state(value: str) -> bool | None:
     return {"auto": None, "yes": True, "no": False}[value]
 
@@ -72,18 +85,7 @@ def _cmd_generate(args) -> int:
         require_connected=_tri_state(args.require_connected),
         tolerance=args.tolerance,
     )
-    config = {
-        "subcommand": "generate",
-        "n": cfg.n,
-        "k": cfg.k,
-        "seed": cfg.seed,
-        "ramanujan": bool(args.ramanujan),
-        "require_connected": args.require_connected,
-        "max_matching_retries": cfg.max_matching_retries,
-        "max_ramanujan_attempts": cfg.max_ramanujan_attempts,
-        "tolerance": cfg.tolerance,
-        "format": args.format,
-    }
+    config = _config(args)
     if args.ramanujan:
         expander, attempts, report = ramanujan_bipartite(cfg)
     else:
@@ -104,21 +106,14 @@ def _cmd_generate(args) -> int:
 def _cmd_analyze(args) -> int:
     g = load_graph_file(args.input)
     report = analyze(g, tolerance=args.tolerance, method=args.method)
-    config = {
-        "subcommand": "analyze",
-        "in": args.input,
-        "tolerance": args.tolerance,
-        "method": args.method,
-    }
-    _emit(_envelope(config, report.to_dict()), args.out)
+    _emit(_envelope(_config(args), report.to_dict()), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     g = load_graph_file(args.input)
     report = verify_bounds(g, tolerance=args.tolerance)
-    config = {"subcommand": "verify", "in": args.input, "tolerance": args.tolerance}
-    _emit(_envelope(config, report.to_dict()), args.out)
+    _emit(_envelope(_config(args), report.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -128,16 +123,7 @@ def _cmd_rewire(args) -> int:
         raise GraphError("cannot rewire the empty graph")
     cfg = GeneratorConfig(n=g.n, k=min(args.k, g.n), seed=args.seed, tolerance=args.tolerance)
     inst = augment(g, cfg, num_layers=args.layers, ramanujan=args.ramanujan)
-    config = {
-        "subcommand": "rewire",
-        "in": args.input,
-        "k": args.k,
-        "seed": args.seed,
-        "layers": args.layers,
-        "ramanujan": bool(args.ramanujan),
-        "tolerance": args.tolerance,
-    }
-    _emit(_envelope(config, inst.to_dict()), args.out)
+    _emit(_envelope(_config(args), inst.to_dict()), args.out)
     return EXIT_OK
 
 
@@ -152,7 +138,7 @@ def _parse_seeds(args) -> list[int]:
 
 def _csv_path(template: str, seed: int, multi: bool) -> str:
     if "{seed}" in template:
-        return template.format(seed=seed)
+        return template.replace("{seed}", str(seed))
     if multi:
         p = Path(template)
         return str(p.with_name(f"{p.stem}-seed{seed}{p.suffix}"))
@@ -164,21 +150,9 @@ def _cmd_train(args) -> int:
     if not seeds:
         raise ValueError("--seeds gave no seeds")
     mode = HyperedgeMode(args.mode)
-    config = {
-        "subcommand": "train",
-        "depth": args.depth,
-        "layers": args.layers,
-        "hidden": args.hidden,
-        "lr": args.lr,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "dataset_size": args.dataset_size,
-        "seeds": seeds,
-        "rewire": bool(args.rewire),
-        "k": args.k,
-        "mode": args.mode,
-        "optimizer": args.optimizer,
-    }
+    config = _config(args)
+    del config["seed"]
+    config["seeds"] = seeds  # the parsed list, in --seeds' place
     runs = []
     for seed in seeds:
         cfg = TrainConfig(
@@ -274,7 +248,7 @@ def build_parser() -> _CliParser:
     p.add_argument("--k", type=int, default=3, help="expander regularity when rewiring")
     p.add_argument("--mode", choices=["learned", "summation"], default="summation")
     p.add_argument("--optimizer", choices=["sgd", "adam"], default="sgd")
-    p.add_argument("--csv", default=None, help="metrics CSV path; '{seed}' is substituted")
+    p.add_argument("--csv", default=None, help="metrics CSV path; each '{seed}' is replaced by the seed")
     p.add_argument("--out", default=None, help="summary JSON path (default stdout)")
     p.set_defaults(func=_cmd_train)
     return parser

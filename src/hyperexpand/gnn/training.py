@@ -62,6 +62,8 @@ class TrainConfig:
             raise ValueError("depth, num_layers, hidden_dim must be >= 1")
         if self.epochs < 1 or self.dataset_size < 1:
             raise ValueError("epochs and dataset_size must be >= 1")
+        if self.batch_size < 0:
+            raise ValueError(f"batch_size must be >= 0 (0 means full batch), got {self.batch_size}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.expander_k < 1:

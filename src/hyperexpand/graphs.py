@@ -104,17 +104,21 @@ def build_graph(n: int, edges) -> Graph:
     Rejects negative vertex counts and counts above MAX_VERTICES, naming
     n, and ids that are not integers, out-of-range ids, self-loops, and
     duplicate edges (in either orientation), naming edges and the first
-    offending pair in input order. The checks are whole-array, and the
-    CSR arrays come from one sort of the arcs keyed by (source, target).
+    offending pair in input order. An integer array is checked whole
+    (one range and self-loop mask, then one sort of the arcs keyed by
+    (source, target), which also gives the CSR arrays); any other input,
+    and an array that fails, is read pair by pair by _checked_pairs.
     """
     check_vertex_count(n)
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
-    a = _id_pairs(pairs)
-    m = len(a)
-    outside = ((a < 0) | (a >= n)).any(axis=1)
-    bad = np.flatnonzero(outside | (a[:, 0] == a[:, 1]))
-    first = int(bad[0]) if bad.size else m
-    if first == m == len(pairs):
+    try:
+        a = np.asarray(pairs)
+    except ValueError:  # ragged entries
+        a = None
+    if a is None or a.dtype.kind not in "iub" or a.ndim != 2 or a.shape[1] != 2:
+        a = _checked_pairs(pairs, n)
+    a = a.astype(np.int64, copy=False)  # uint64 ids past int64 wrap negative: out of range
+    if ((a >= 0) & (a < n)).all() and (a[:, 0] != a[:, 1]).all():
         # Every id is in range, so source * n + target orders the arcs,
         # and a repeated arc is a duplicate edge.
         src = np.concatenate((a[:, 0], a[:, 1]))
@@ -123,64 +127,35 @@ def build_graph(n: int, edges) -> Graph:
             offsets = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
             return Graph(n=n, offsets=offsets, neighbors=arcs % n)
-    # Name the first defect in input order. Before the first range or
-    # loop defect every id is in range, so lo * n + hi names an
-    # undirected edge; a stable sort puts each repeat after its first
-    # occurrence.
-    lo, hi = np.sort(a[:first], axis=1).T
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][np.diff(key[order]) == 0]
-    if repeats.size:
-        u, v = pairs[int(repeats.min())]
-        raise GraphError(f"edges: duplicate edge ({u}, {v})")
-    if first < m:
-        u, v = pairs[first]
-        if outside[first]:
-            raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
-        raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
-    _reject_pair(pairs[m], n)
+    _checked_pairs(pairs, n)  # names the first defect
+    raise AssertionError("the whole-array check refused edges that _checked_pairs accepts")
 
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _is_id(x) -> bool:
-    return isinstance(x, (int, np.integer)) and _INT64_MIN <= x <= _INT64_MAX
-
-
-def _id_pairs(pairs) -> np.ndarray:
-    """The longest prefix of pairs whose entries are (u, v) pairs of
-    integers within int64, as a (c, 2) int64 array. An integer array of
-    shape (m, 2) converts in one call; anything else is read pair by pair
-    up to the first entry that does not convert exactly."""
-    try:
-        a = np.asarray(pairs)
-    except ValueError:  # ragged entries
-        a = None
-    if a is not None and a.dtype.kind in "iub" and a.ndim == 2 and a.shape[1] == 2:
-        return a.astype(np.int64, copy=False)  # uint64 ids past int64 wrap negative: out of range
+def _checked_pairs(pairs, n: int) -> np.ndarray:
+    """pairs as an (m, 2) int64 array, each edge lower id first, read once
+    in input order. The first entry that is not a (u, v) pair of integer
+    ids in 0..n-1, is a self-loop, or repeats an earlier edge is named in
+    a GraphError as given (a numpy scalar by its repr, a uint64 past int64
+    by its digits)."""
+    seen: set[tuple[int, int]] = set()
     rows = []
     for e in pairs:
         try:
             u, v = e
         except (TypeError, ValueError):
-            break
-        if not (_is_id(u) and _is_id(v)):
-            break
-        rows.append((u, v))
+            raise GraphError(f"edges: entry {e!r} is not a (u, v) pair") from None
+        if not all(isinstance(x, (int, np.integer, np.bool_)) for x in (u, v)):
+            raise GraphError(f"edges: ({u!r}, {v!r}) ids must be integers")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"edges: self-loop ({u}, {v}) not allowed")
+        key = (int(min(u, v)), int(max(u, v)))
+        if key in seen:
+            raise GraphError(f"edges: duplicate edge ({u}, {v})")
+        seen.add(key)
+        rows.append(key)
     return np.array(rows, dtype=np.int64).reshape(len(rows), 2)
-
-
-def _reject_pair(e, n: int):
-    """Raise the GraphError for an entry _id_pairs stopped at."""
-    try:
-        u, v = e
-    except (TypeError, ValueError):
-        raise GraphError(f"edges: entry {e!r} is not a (u, v) pair") from None
-    if isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer)):
-        raise GraphError(f"edges: ({u}, {v}) out of range for n={n}")
-    raise GraphError(f"edges: ({u!r}, {v!r}) ids must be integers")
 
 
 def is_k_regular(g: Graph) -> int | None:
@@ -330,19 +305,13 @@ def matching_biadjacency(m: np.ndarray) -> np.ndarray:
 
 
 def _permutation_rows(rows: list[np.ndarray], n: int) -> np.ndarray:
-    """The rows as a (k, n) int64 array, each checked to be a permutation
-    of 0..n-1; the first that is not (wrong length, not integers, out of
-    range or repeated ids) is named in a GraphError."""
-    fit = next(
-        (i for i, r in enumerate(rows) if r.shape != (n,) or r.dtype.kind not in "iu"),
-        len(rows),
-    )
-    a = np.array(rows[:fit], dtype=np.int64).reshape(fit, n)  # ids past int64 wrap out of range
-    bad = np.flatnonzero(_non_permutations(a))
-    first = int(bad[0]) if bad.size else fit
-    if first < len(rows):
-        raise GraphError(f"matching {first} is not a permutation of 0..{n - 1}")
-    return a
+    """The rows as a (k, n) int64 array, each checked in turn to be a
+    permutation of 0..n-1; the first that is not (wrong length, not
+    integers, out of range or repeated ids) is named in a GraphError."""
+    for i, r in enumerate(rows):
+        if r.shape != (n,) or r.dtype.kind not in "iu" or _non_permutations(r):
+            raise GraphError(f"matching {i} is not a permutation of 0..{n - 1}")
+    return np.array(rows, dtype=np.int64)
 
 
 def make_bipartite_expander(
@@ -352,10 +321,10 @@ def make_bipartite_expander(
 
     matchings is k rows (sequences or a (k, n) integer array); each must
     be a permutation of 0..n-1, and no two may join the same left to the
-    same right. The checks are whole-array: a row-wise sort against
-    arange, then a column-wise sort whose equal neighbours are shared
-    edges. Errors name the first offending matching, or the first
-    (i, j, l) in index order.
+    same right. Each row in turn is sorted against arange, then one
+    column-wise sort finds the shared edges as equal neighbours. Errors
+    name the first offending matching, or the first (i, j, l) in index
+    order.
     """
     if n_left != n_right:
         raise GraphError(

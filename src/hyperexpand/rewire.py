@@ -18,6 +18,7 @@ from .construct import GeneratorConfig, k_regular_bipartite, ramanujan_bipartite
 from .graphs import ArrayRecord, BipartiteExpander, Graph
 from .serialize import (
     REWIRED_FORMAT,
+    _check_format,
     _integer,
     bipartite_from_dict,
     bipartite_to_dict,
@@ -93,8 +94,7 @@ def _bools(mask):
 def rewired_from_dict(data: dict) -> RewiredInstance:
     """Load a rewire payload; the counts must be true integers and the
     mask true booleans, and a bad field is a ValueError naming it."""
-    if data.get("format") != REWIRED_FORMAT:
-        raise ValueError(f"expected format {REWIRED_FORMAT!r}, got {data.get('format')!r}")
+    _check_format(data, REWIRED_FORMAT)
     return RewiredInstance(
         original=graph_from_dict(payload_field(data, "original")),
         expander=bipartite_from_dict(payload_field(data, "expander")),

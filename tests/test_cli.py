@@ -621,6 +621,16 @@ class TestTrain:
         assert entry(TINY_TRAIN + ["--seeds", "1,x"]) == EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
 
+    def test_negative_batch_size_exits_1(self, capsys):
+        assert entry(TINY_TRAIN + ["--batch-size", "-3"]) == EXIT_USAGE
+        assert "batch_size must be >= 0" in capsys.readouterr().err
+
+    def test_csv_template_braces_besides_seed_are_kept(self, tmp_path):
+        csv = tmp_path / "run-{seed}-{epoch}.csv"
+        code, _ = run_to_file(TINY_TRAIN + ["--seeds", "1,2", "--csv", str(csv)], tmp_path, "s.json")
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("run-*.csv")) == ["run-1-{epoch}.csv", "run-2-{epoch}.csv"]
+
 
     def test_output_independent_of_cpu_count(self, tmp_path):
         # at depth 5 over 300 samples every kernel of a split-enabled run splits
@@ -691,6 +701,56 @@ class TestNumpyOnlyRuntime:
         proc = subprocess.run([sys.executable, "-c", self.CHILD, *argv], capture_output=True, text=True,
                               env=child_env(), cwd=tmp_path, timeout=120)
         assert proc.stdout.strip() == "0 []", proc.stderr
+
+
+def argv_from_config(config: dict) -> list[str]:
+    """The command line a "config" echo stands for: each key as its flag
+    (a true switch bare, a false one left out, the seed list joined by
+    commas, floats by repr)."""
+    argv = [config["subcommand"]]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "subcommand" or value is False:
+            continue
+        if value is True:
+            argv.append(flag)
+        elif isinstance(value, list):
+            argv += [flag, ",".join(map(str, value))]
+        else:
+            argv += [flag, repr(value) if isinstance(value, float) else str(value)]
+    return argv
+
+
+class TestConfigEcho:
+    """Every subcommand's echoed config, turned back into a command line,
+    reproduces its output byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n", "8", "--k", "3", "--seed", "7", "--ramanujan", "--tolerance", "1e-9"],
+            ["generate", "--n", "6", "--k", "2", "--require-connected", "no", "--max-matching-retries", "50",
+             "--format", "edgelist"],
+            ["analyze", "--in", "c6.json", "--method", "jacobi"],
+            ["verify", "--in", "c6.json", "--tolerance", "1e-7"],
+            ["rewire", "--in", "c6.json", "--k", "2", "--seed", "5", "--layers", "4", "--ramanujan"],
+            TINY_TRAIN + ["--seeds", "1,2", "--batch-size", "4", "--rewire", "--mode", "learned",
+                          "--optimizer", "adam", "--csv", "m.csv"],
+            TINY_TRAIN + ["--seed", "3", "--lr", "0.05"],
+        ],
+    )
+    def test_round_trip(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_graph(tmp_path, "c6.json", cycle_graph(6))
+        assert entry(argv + ["--out", "a.out"]) == EXIT_OK
+        text = (tmp_path / "a.out").read_text()
+        if "--format" in argv:  # an edge list carries its config as a header comment
+            config = json.loads(text.splitlines()[0].removeprefix("# config: "))
+        else:
+            config = json.loads(text)["config"]
+        assert not {"out", "csv", "input", "func"} & config.keys()
+        assert entry(argv_from_config(config) + ["--out", "b.out"]) == EXIT_OK
+        assert (tmp_path / "b.out").read_bytes() == (tmp_path / "a.out").read_bytes()
 
 
 class TestParser:

@@ -414,6 +414,17 @@ class TestWholeArrayBuildGraph:
         assert all(type(v) is int for nbrs in g.adjacency_lists() for v in nbrs)
 
     @pytest.mark.parametrize(
+        "edges",
+        [
+            [(np.uint64(1), np.int64(0)), (1, 2)],  # numpy promotes the pair to float64
+            np.array([(1, 0), (1, 2)], dtype=object),
+            [(np.True_, np.uint64(2)), (0, np.int64(1))],
+        ],
+    )
+    def test_integer_ids_of_a_non_integer_array_are_accepted(self, edges):
+        assert build_graph(3, edges) == path_graph(3)
+
+    @pytest.mark.parametrize(
         "edges,shown",
         [
             ([(0, 1.5)], "(0, 1.5)"),

@@ -188,6 +188,10 @@ class TestRewiredInstance:
         with pytest.raises(ValueError, match="format"):
             rewired_from_dict(d)
 
+    def test_envelope_rejects_non_dict(self, inst):
+        with pytest.raises(ValueError, match=f"^expected format {REWIRED_FORMAT!r}, got 'list'$"):
+            rewired_from_dict([inst.to_dict()])
+
 
     @pytest.mark.parametrize(
         "field", ["original", "expander", "total_nodes", "hyperedge_mask", "schedule"]
