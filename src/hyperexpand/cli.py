@@ -145,6 +145,16 @@ def _csv_path(template: str, seed: int, multi: bool) -> str:
     return template
 
 
+def _check_out_path(flag: str, path: str) -> None:
+    """Refuse an output path whose directory is missing or that is itself
+    a directory, naming the flag and the path."""
+    p = Path(path)
+    if p.is_dir():
+        raise ValueError(f"{flag} {path} is a directory")
+    if not p.parent.is_dir():
+        raise ValueError(f"{flag} {path}: directory {p.parent} does not exist")
+
+
 def _cmd_train(args) -> int:
     seeds = _parse_seeds(args)
     if not seeds:
@@ -153,8 +163,13 @@ def _cmd_train(args) -> int:
     config = _config(args)
     del config["seed"]
     config["seeds"] = seeds  # the parsed list, in --seeds' place
+    csv_paths = [_csv_path(args.csv, seed, len(seeds) > 1) if args.csv else None for seed in seeds]
+    # checked before the first epoch, so a bad path costs no run
+    for flag, path in [("--out", args.out), *(("--csv", path) for path in csv_paths)]:
+        if path is not None:
+            _check_out_path(flag, path)
     runs = []
-    for seed in seeds:
+    for seed, csv_path in zip(seeds, csv_paths):
         cfg = TrainConfig(
             depth=args.depth,
             num_layers=args.layers,
@@ -182,12 +197,11 @@ def _cmd_train(args) -> int:
                 "epochs": args.epochs,
             }
         )
-        if args.csv:
+        if csv_path is not None:
             rows = ["epoch,loss,accuracy"]
             for e, (loss, acc) in enumerate(zip(result.losses, result.accuracies), start=1):
                 rows.append(f"{e},{loss:.17g},{acc:.17g}")
-            path = _csv_path(args.csv, seed, len(seeds) > 1)
-            Path(path).write_text("\n".join(rows) + "\n")
+            Path(csv_path).write_text("\n".join(rows) + "\n")
     _emit(_envelope(config, {"runs": runs}), args.out)
     return EXIT_OK
 

@@ -27,6 +27,7 @@ from hyperexpand.graphs import (
 )
 from hyperexpand.rng import _GAMMA, _MASK, SplitMix64, _mix, derive_seed
 from hyperexpand.serialize import format_float
+from hyperexpand.spectral import EigensolverError, _offdiag_norm
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -37,6 +38,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + offset, v + offset) for u, v in g.edge_array().tolist())
         offset += g.n
     return build_graph(offset, edges)
+
+
+def generalized_petersen(m: int, s: int) -> Graph:
+    """GP(m, s): outer m-cycle, spokes, inner star polygon {m/s}."""
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (i, m + i), (m + i, m + (i + s) % m)]
+    return build_graph(2 * m, edges)
 
 
 @st.composite
@@ -484,3 +493,44 @@ def side_block_by_loop(g: TupleGraph, side: list[int]) -> np.ndarray:
             for v in g.adjacency[u]:
                 b[pos[u], pos[v]] = 1.0
     return b
+
+
+def jacobi_by_slices(matrix, tolerance: float, max_sweeps: int = 60) -> np.ndarray:
+    """Cyclic Jacobi with each rotation as whole-row and whole-column
+    expressions and slice assignments, and the residual checked once more
+    after the last sweep: the reference for the in-place ufunc rotation."""
+    a = np.array(matrix, dtype=np.float64)
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy()
+    residual = _offdiag_norm(a)
+    for _ in range(max_sweeps):
+        if residual < tolerance:
+            break
+        skip = tolerance / (2.0 * n)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+        residual = _offdiag_norm(a)
+    if not residual < tolerance:
+        raise EigensolverError(
+            f"Jacobi sweeps exhausted ({max_sweeps}), "
+            f"off-diagonal norm {residual:.3e} >= tolerance {tolerance:.3e}",
+            residual=residual,
+        )
+    return np.sort(np.diag(a))[::-1].copy()

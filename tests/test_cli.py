@@ -262,6 +262,21 @@ class TestGoldenSpectral:
         assert got == self.GOLDEN
 
 
+class TestGoldenJacobi:
+    """Byte golden of analyze --method jacobi on the Nauru graph GP(12, 5),
+    recorded with the whole-row rotation expressions before the in-place
+    ufunc rotation replaced them."""
+
+    GOLDEN = "e1d9bb81aae6b41ac4f3c3f3fb37ac78a40f832d938966591651b817b1ec5564"
+
+    def test_sha256(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # analyze records its --in path
+        edges = [e for i in range(12) for e in ((i, (i + 1) % 12), (i, 12 + i), (12 + i, 12 + (i + 5) % 12))]
+        (tmp_path / "gp.edges").write_text("# n=24\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        assert entry(["analyze", "--in", "gp.edges", "--method", "jacobi", "--out", "gj.json"]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "gj.json").read_bytes()).hexdigest() == self.GOLDEN
+
+
 class TestAnalyze:
     def test_k33(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))
@@ -644,6 +659,40 @@ class TestTrain:
             assert proc.returncode == EXIT_OK, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestTrainOutputPaths:
+    """--out and every per-seed --csv path are checked before the first run."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("hyperexpand.cli.train", refuse)
+
+    @pytest.mark.parametrize(
+        "flag,path,why",
+        [
+            ("--csv", "nodir/m.csv", "directory nodir does not exist"),
+            ("--out", "nodir/s.json", "directory nodir does not exist"),
+            ("--csv", "sub", "is a directory"),
+            ("--out", "sub", "is a directory"),
+        ],
+    )
+    def test_exits_1_naming_flag_and_path(self, flag, path, why, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert entry(TINY_TRAIN + [flag, path]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: {flag} {path}" in err and why in err
+
+    def test_later_seed_path_checked_before_the_first_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1").mkdir()
+        assert entry(TINY_TRAIN + ["--seeds", "1,2", "--csv", "{seed}/m.csv"]) == EXIT_USAGE
+        assert "--csv 2/m.csv: directory 2 does not exist" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
 
 
 class TestTrainMemoryLimit:

@@ -37,7 +37,7 @@ from hyperexpand.rng import SplitMix64
 from hyperexpand.serialize import dumps_canonical
 from hyperexpand.spectral import NotRegularError, expander_constant_lower_bound
 
-from helpers import disjoint_union
+from helpers import disjoint_union, generalized_petersen
 
 GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_golden.json"
 
@@ -120,14 +120,6 @@ def random_graph(seed):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.next_unit() < 0.4
     ]
     return build_graph(n, edges)
-
-
-def generalized_petersen(m, s):
-    """GP(m, s): outer m-cycle, spokes, inner star polygon {m/s}."""
-    edges = []
-    for i in range(m):
-        edges += [(i, (i + 1) % m), (i, m + i), (m + i, m + (i + s) % m)]
-    return build_graph(2 * m, edges)
 
 
 def assert_matches_gray_code(g, mode, label=""):

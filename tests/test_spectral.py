@@ -40,7 +40,15 @@ from hyperexpand.spectral import (
 )
 from hyperexpand.spectral import _side_block
 
-from helpers import disjoint_matchings, disjoint_union, outcome, side_block_by_loop, tuple_graph_by_loop
+from helpers import (
+    disjoint_matchings,
+    disjoint_union,
+    generalized_petersen,
+    jacobi_by_slices,
+    outcome,
+    side_block_by_loop,
+    tuple_graph_by_loop,
+)
 
 TOL = 1e-8
 
@@ -98,7 +106,11 @@ class TestEigensolvers:
         g = cycle_graph(12)
         with pytest.raises(EigensolverError) as err:
             jacobi_eigenvalues(g.adjacency_matrix(), TOL, max_sweeps=1)
-        assert err.value.residual > 0
+        residual = err.value.residual
+        assert residual >= TOL
+        assert str(err.value) == (
+            f"Jacobi sweeps exhausted (1), off-diagonal norm {residual:.3e} >= tolerance {TOL:.3e}"
+        )
 
     def test_trace_is_zero(self):
         for g in (cycle_graph(9), petersen_graph(), complete_bipartite_graph(4)):
@@ -273,6 +285,72 @@ class TestJacobiCap:
 
     def test_lapack_route_not_capped_there(self):
         assert analyze(cycle_graph(2 * MAX_JACOBI_N + 2)).k == 2
+
+
+class TestJacobiSweepBudget:
+    """The residual is checked once more after the last allowed sweep."""
+
+    def test_two_by_two_converges_in_its_one_sweep(self):
+        m = np.array([[2.0, 1.0], [1.0, 2.0]])
+        got = jacobi_eigenvalues(m, TOL, max_sweeps=1)
+        assert got.tolist() == pytest.approx([3.0, 1.0], abs=TOL)
+        assert got.tobytes() == jacobi_eigenvalues(m, TOL).tobytes()
+
+    def test_diagonal_needs_no_sweep(self):
+        assert jacobi_eigenvalues(np.diag([1.0, 3.0]), TOL, max_sweeps=0).tolist() == [3.0, 1.0]
+
+
+def jacobi_outcome(fn, matrix, max_sweeps):
+    """The eigenvalue bytes, or the message and residual bytes of the
+    EigensolverError raised; max_sweeps None means the default budget."""
+    kwargs = {} if max_sweeps is None else {"max_sweeps": max_sweeps}
+    try:
+        return fn(matrix, TOL, **kwargs).tobytes()
+    except EigensolverError as e:
+        return str(e), np.float64(e.residual).tobytes()
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric n x n matrices, n in 1..12, entries +-0.0, small integers
+    and floats at scales 1e-3 to 1e3."""
+    n = draw(st.integers(1, 12))
+    entry = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.integers(-3, 3).map(float),
+        st.builds(
+            lambda x, scale: x * scale,
+            st.floats(-1.0, 1.0),
+            st.sampled_from([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3]),
+        ),
+    )
+    a = np.zeros((n, n))
+    for p in range(n):
+        for q in range(p, n):
+            a[p, q] = a[q, p] = draw(entry)
+    return a
+
+
+class TestJacobiRotationBits:
+    """The in-place ufunc rotation gives the whole-row expressions' bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices(), st.one_of(st.integers(0, 4), st.none()))
+    def test_random_symmetric(self, a, max_sweeps):
+        assert jacobi_outcome(jacobi_eigenvalues, a, max_sweeps) == jacobi_outcome(
+            jacobi_by_slices, a, max_sweeps
+        )
+
+    @pytest.mark.parametrize("m,s", [(10, 2), (10, 3), (11, 1), (11, 2), (12, 5)])
+    def test_oracle_corpus(self, m, s):
+        a = generalized_petersen(m, s).adjacency_matrix()
+        assert jacobi_eigenvalues(a, TOL).tobytes() == jacobi_by_slices(a, TOL).tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_random_regular(self, n):
+        g = k_regular_bipartite(GeneratorConfig(n=n // 2, k=3, seed=n)).to_graph()
+        a = g.adjacency_matrix()
+        assert jacobi_eigenvalues(a, TOL).tobytes() == jacobi_by_slices(a, TOL).tobytes()
 
 
 class TestTolerance:
