@@ -40,7 +40,6 @@ from .spectral import (
     dodziuk_bounds,
     expander_constant_lower_bound,
     jacobi_eigenvalues,
-    nontrivial_lambda,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "k_regular_bipartite",
     "layer_schedule",
     "make_bipartite_expander",
-    "nontrivial_lambda",
     "ramanujan_bipartite",
     "verify_bounds",
     "vertex_expansion",

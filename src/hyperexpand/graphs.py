@@ -181,21 +181,31 @@ def _bfs(adjacency: list[list[int]], source: int, dist: list[int]) -> list[int]:
     return queue
 
 
-def bipartition(g: Graph) -> list[int] | None:
-    """Two-colour g by BFS; None iff some component has an odd cycle.
+def components(g: Graph) -> tuple[int, int, list[int] | None]:
+    """(components, bipartite components, two-colouring) of g, by BFS.
 
-    Deterministic: the lowest-id vertex of each component gets side 0,
-    and every vertex the parity of its distance from it. g is bipartite
-    iff no arc joins two vertices of equal parity.
+    The lowest-id vertex of each component gets side 0, and every vertex
+    the parity of its distance from it. A component is bipartite iff none
+    of its arcs joins equal parities; the two-colouring is None if one does.
     """
     adjacency = g.adjacency_lists()
     dist = [-1] * g.n
+    label = [0] * g.n
+    count = 0
     for start in range(g.n):
         if dist[start] == -1:
-            _bfs(adjacency, start, dist)
+            for v in _bfs(adjacency, start, dist):
+                label[v] = count
+            count += 1
     side = np.array(dist, dtype=np.int64) & 1
     src, dst = g.arcs()
-    return None if (side[src] == side[dst]).any() else side.tolist()
+    odd = np.unique(np.array(label, dtype=np.int64)[src[side[src] == side[dst]]]).size
+    return count, count - odd, None if odd else side.tolist()
+
+
+def bipartition(g: Graph) -> list[int] | None:
+    """The two-colouring of components(g): None iff g has an odd cycle."""
+    return components(g)[2]
 
 
 def bfs_diameter(g: Graph) -> int | float:

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Graph, bfs_diameter, is_connected, is_k_regular
-from .spectral import DEFAULT_TOLERANCE, NotRegularError, analyze, check_tolerance, chung_diameter_bound
+from .spectral import DEFAULT_TOLERANCE, NotRegularError, analyze, check_tolerance
 
 MAX_ORACLE_N = 24
 
@@ -288,9 +288,8 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
     """Check the diameter bound, the edge-expansion sandwich, and the
     spectral vertex-expansion inequality against exhaustive ground truth.
 
-    The spectral side is analyze's certificate. The diameter bound is
-    computed here from its nontrivial lambda, because analyze withholds
-    it when lambda_2 falls in the trivial band of a wide tolerance.
+    The spectral side, the diameter bound included, is analyze's
+    certificate of the connected graph.
 
     The vertex-expansion inequality is a diagnostic, not an assertion: it
     fails on bipartite graphs (one full side achieves ratio 1 against a
@@ -319,7 +318,7 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
         chung = BoundCheck("chung_diameter", None, float(diameter), STATUS_SKIPPED)
         dodziuk = BoundCheck("dodziuk_interval", None, edge.ratio, STATUS_SKIPPED)
     else:
-        bound = chung_diameter_bound(g.n, k, 0.0 if lam <= tolerance else lam, bip)
+        bound = spec.chung_bound
         ok = diameter <= bound + 1e-9
         chung = BoundCheck("chung_diameter", bound, float(diameter), STATUS_PASS if ok else STATUS_UNEXPECTED)
         lower, upper = spec.dodziuk_lower, spec.dodziuk_upper

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import BipartiteExpander, Graph, bipartition, is_k_regular
+from .graphs import BipartiteExpander, Graph, components, connected_rows, inverse_rows, is_k_regular
 
 DEFAULT_TOLERANCE = 1e-8
 # Largest vertex count any route densifies: an 8192^2 float64 matrix is 512 MiB.
@@ -44,8 +44,8 @@ class NotRegularError(ValueError):
 def check_tolerance(tolerance: float) -> None:
     """Reject a tolerance outside (0, 1), NaN and infinities included.
 
-    At or above 1 the trivial band k(1 - tolerance) is <= 0, so every
-    eigenvalue would count as trivial; at 0 Jacobi can never converge.
+    At or above 1 analyze's cross-check slack is at least k, so it would
+    admit any spectrum; at 0 Jacobi can never converge.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
@@ -149,7 +149,7 @@ def adjacency_eigenvalues(
     otherwise; both are backward stable, each eigenvalue within
     O(eps * max degree).  An expander's block comes straight from its
     matchings (left vertices are the rows); a Graph is two-coloured by
-    bipartition(g), or by side when the caller already holds it.  Raises
+    components(g), or by side when the caller already holds it.  Raises
     ValueError above MAX_DENSE_N vertices, and for jacobi above
     MAX_JACOBI_N.
     """
@@ -171,7 +171,7 @@ def adjacency_eigenvalues(
             )
         return jacobi_eigenvalues((g.to_graph() if expander else g).adjacency_matrix(), tolerance)
     if not expander and side is ...:
-        side = bipartition(g)
+        side = components(g)[2]
     try:
         if expander:
             return _bipartite_eigenvalues(g.biadjacency().T)
@@ -181,23 +181,6 @@ def adjacency_eigenvalues(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"dense eigensolve failed: {exc}", residual=math.nan)
     return eigs[::-1].copy()
-
-
-def nontrivial_lambda(
-    eigenvalues, k: int, tolerance: float = DEFAULT_TOLERANCE
-) -> float | None:
-    """max |lambda_i| over eigenvalues with |lambda_i| < k, None if all trivial.
-
-    The trivial band is relative: |lambda| >= k*(1 - tolerance) counts as
-    +-k, so numerical eigenvalues near the trivial ones do not leak in.
-    """
-    band = k * (1.0 - tolerance)
-    best: float | None = None
-    for lam in eigenvalues:
-        mag = abs(float(lam))
-        if mag < band and (best is None or mag > best):
-            best = mag
-    return best
 
 
 def alon_boppana_reference(k: int) -> float:
@@ -282,41 +265,51 @@ def analyze(
 ) -> SpectralReport:
     """Compute the SpectralReport for a k-regular graph.
 
-    An expander is analysed as its derived graph, from its matchings: it
-    is k-regular and bipartite with the left side first, so neither the
-    degree check nor the two-colouring runs. The Ramanujan verdict and
-    the diameter bound are None for disconnected graphs (detected via
-    the multiplicity of eigenvalue k) and when every eigenvalue is
-    trivial.  A nontrivial lambda below the tolerance is treated as
-    exactly 0 in the diameter bound, where the formula's limit is
-    exactly alpha, and a lambda_2 within the band around k is at most k.
+    The structure comes from the graph: one BFS of a Graph counts its
+    components and bipartite ones and two-colours it for the LAPACK
+    route; an expander is one bipartite component when connected_rows
+    finds its matchings connected, and only otherwise is its derived
+    graph built. With c components, b of them bipartite, the first c
+    eigenvalues are k and the last b are -k, and lambda_nontrivial is
+    the largest magnitude among the rest (None if none is left). A
+    spectrum farther than max(1, k) * max(tolerance, n * eps) from that
+    raises EigensolverError. The Ramanujan verdict and diameter bound
+    are None for a disconnected graph and without lambda_nontrivial; a
+    lambda at most the tolerance is 0 in the bound, which is then alpha.
     """
     check_tolerance(tolerance)
     if isinstance(g, BipartiteExpander):
-        k, bip = g.k, True
+        k, m = g.k, g.matchings[None]
         eigs = adjacency_eigenvalues(g, tolerance, method)
+        c, b, _ = (1, 1, None) if connected_rows(m, inverse_rows(m))[0] else components(g.to_graph())
     else:
         k = is_k_regular(g)
         if k is None:
             raise NotRegularError(
                 f"analyze requires a k-regular graph (degrees {sorted(set(g.degrees()))})"
             )
-        side = bipartition(g) if g.n <= MAX_DENSE_N else None  # refused before two-colouring
+        c, b, side = components(g) if g.n <= MAX_DENSE_N else (1, 1, None)  # refused before the BFS
         eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
-        bip = side is not None
-    band = tolerance * max(1.0, float(k))  # a numerical eigenvalue this close to k is k
-    connected = sum(1 for e in eigs if e >= k - band) == 1  # k's multiplicity counts components
-    lam = nontrivial_lambda(eigs, k, tolerance)
-    lambda_2 = float(eigs[1]) if g.n >= 2 else None
-    if lambda_2 is not None and k < lambda_2 <= k + band:
-        lambda_2 = float(k)  # a second eigenvalue k (disconnected), a few ulps high
+    n = g.n
+    slack = max(1.0, float(k)) * max(tolerance, n * np.finfo(np.float64).eps)
+    # the largest |lambda| comes first, so a NaN anywhere carries through max
+    off = max(np.abs(eigs).max() - k, np.abs(eigs[:c] - k).max(), np.abs(eigs[n - b :] + k).max(initial=0.0))
+    if not off <= slack:
+        raise EigensolverError(
+            f"spectrum contradicts the structure (components={c}, bipartite={b}, k={k}): "
+            f"an eigenvalue is {off:.3e} off, above the slack {slack:.3e}",
+            residual=float(off),
+        )
+    rest = np.abs(eigs[c : n - b])
+    lam = float(rest.max()) if rest.size else None
+    lambda_2 = float(min(eigs[1], k)) if n >= 2 else None  # k, if rounding put it a few ulps above
 
     ramanujan: bool | None = None
     chung: float | None = None
-    if connected and lam is not None:
+    if c == 1 and lam is not None:
         ramanujan = lam <= alon_boppana_reference(k) + tolerance
         lam_for_bound = 0.0 if lam <= tolerance else lam
-        chung = chung_diameter_bound(g.n, k, lam_for_bound, bip)
+        chung = chung_diameter_bound(n, k, lam_for_bound, b == c)
 
     dod_lower = dod_upper = None
     if lam is not None:
@@ -327,8 +320,8 @@ def analyze(
         k=k,
         lambda_nontrivial=lam,
         lambda_2=lambda_2,
-        is_bipartite=bip,
-        is_connected=connected,
+        is_bipartite=b == c,
+        is_connected=c == 1,
         ramanujan=ramanujan,
         chung_bound=chung,
         alon_boppana_ref=alon_boppana_reference(k) if k >= 1 else None,

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hyperexpand.cli import EXIT_BUDGET, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, entry
@@ -338,6 +339,15 @@ class TestAnalyze:
         path.write_text("0 1\n1 2\n2 0\n# n=5\n")
         assert entry(["analyze", "--in", str(path)]) == EXIT_USAGE
         assert "'n'" in capsys.readouterr().err
+
+    def test_spectrum_contradicting_structure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # C6 is connected and bipartite, so its top eigenvalue must be 2.
+        eigs = np.array([1.5, 1.0, 1.0, -1.0, -1.0, -2.0])
+        monkeypatch.setattr("hyperexpand.spectral.adjacency_eigenvalues", lambda *args, **kwargs: eigs)
+        path = write_graph(tmp_path, "c6.json", cycle_graph(6))
+        assert entry(["analyze", "--in", path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: spectrum contradicts the structure (components=1, bipartite=1, k=2)" in err
 
     def test_byte_identical_rerun(self, tmp_path):
         path = write_graph(tmp_path, "k33.json", complete_bipartite_graph(3))

@@ -15,11 +15,11 @@ import hyperexpand.oracle as oracle
 import hyperexpand.spectral as spectral
 from hyperexpand.construct import GeneratorConfig, k_regular_bipartite
 from hyperexpand.graphs import (
-    bipartition,
     build_graph,
     circular_ladder_graph,
     complete_bipartite_graph,
     complete_graph,
+    components,
     cycle_graph,
     petersen_graph,
 )
@@ -436,9 +436,9 @@ class TestVerifyBounds:
             verify_bounds(c6).check("nope")
 
     def test_large_tolerance_report(self):
-        # At tolerance 0.3, lambda_2 = sqrt(5) falls in the trivial band,
-        # so analyze withholds the diameter bound; verify still reports
-        # it, from the nontrivial lambda 2.
+        # A wide tolerance reclassifies no eigenvalue: lambda_2 = sqrt(5)
+        # stays nontrivial, so the report equals the default-tolerance
+        # GP(10,2) entry in every field but the tolerance.
         want = json.loads(GOLDEN_VERIFY.read_text())["GP(10,2) tolerance=0.3"]
         got = verify_bounds(generalized_petersen(10, 2), tolerance=0.3).to_dict()
         assert dumps_canonical(got) == dumps_canonical(want)
@@ -448,10 +448,10 @@ class TestVerifyBounds:
 
         def counted(g):
             calls.append(g.n)
-            return bipartition(g)
+            return components(g)
 
         for module in (spectral, oracle):
-            if hasattr(module, "bipartition"):
-                monkeypatch.setattr(module, "bipartition", counted)
+            if hasattr(module, "components"):
+                monkeypatch.setattr(module, "components", counted)
         verify_bounds(generalized_petersen(10, 3))
         assert calls == [20]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from hyperexpand.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    is_connected,
     make_bipartite_expander,
     path_graph,
     petersen_graph,
@@ -36,7 +38,6 @@ from hyperexpand.spectral import (
     dodziuk_bounds,
     expander_constant_lower_bound,
     jacobi_eigenvalues,
-    nontrivial_lambda,
 )
 from hyperexpand.spectral import _side_block
 
@@ -190,11 +191,11 @@ class TestBipartiteRoute:
         import hyperexpand.spectral as spectral
 
         calls = []
-        real = spectral.bipartition
-        monkeypatch.setattr(spectral, "bipartition", lambda h: calls.append(h) or real(h))
+        real = spectral.components
+        monkeypatch.setattr(spectral, "components", lambda h: calls.append(h) or real(h))
         report = analyze(g)
         assert calls == [g]
-        assert report.is_bipartite is (real(g) is not None)
+        assert report.is_bipartite is (real(g)[2] is not None)
         assert report.eigenvalues == tuple(adjacency_eigenvalues(g).tolist())
 
 
@@ -227,7 +228,7 @@ class TestExpanderRoute:
 
         want = ramanujan_bipartite(GeneratorConfig(n=32, k=3, seed=5))
         monkeypatch.setattr(BipartiteExpander, "to_graph", refuse)
-        monkeypatch.setattr("hyperexpand.spectral.bipartition", refuse)
+        monkeypatch.setattr("hyperexpand.spectral.components", refuse)
         assert ramanujan_bipartite(GeneratorConfig(n=32, k=3, seed=5)) == want
 
     def test_expander_has_derived_vertex_count(self):
@@ -263,7 +264,7 @@ class TestDenseCap:
         def refuse(g):
             raise AssertionError("two-coloured a graph above the cap")
 
-        monkeypatch.setattr(spectral, "bipartition", refuse)
+        monkeypatch.setattr(spectral, "components", refuse)
         with pytest.raises(ValueError, match=f"n={MAX_DENSE_N + 1}.*MAX_DENSE_N={MAX_DENSE_N}"):
             analyze(cycle_graph(MAX_DENSE_N + 1))
 
@@ -362,23 +363,6 @@ class TestTolerance:
             verify_bounds(k33, tolerance=tol)
         with pytest.raises(ValueError, match="tolerance"):
             GeneratorConfig(n=4, k=2, tolerance=tol)
-
-
-class TestNontrivialLambda:
-    def test_k33_case(self):
-        assert nontrivial_lambda([3, 0, 0, 0, 0, -3], 3, TOL) == 0
-
-    def test_even_cycle_case(self):
-        assert nontrivial_lambda([2, 1, 1, -1, -1, -2], 2, TOL) == 1
-
-    def test_k2_all_trivial(self):
-        assert nontrivial_lambda([1, -1], 1, TOL) is None
-
-    def test_numerical_band(self):
-        # anything at or above k*(1 - tol) in magnitude counts as trivial
-        assert nontrivial_lambda([3, 2.9999, -3], 3, TOL) == pytest.approx(2.9999)
-        assert nontrivial_lambda([3, 3 - 1e-10, -3], 3, TOL) is None
-        assert nontrivial_lambda([3, 1, -(3 - 1e-10)], 3, TOL) == 1
 
 
 class TestRamanujan:
@@ -490,10 +474,32 @@ class TestAnalyze:
         assert abs(jac.expander_constant_lb - lap.expander_constant_lb) <= TOL
 
     def test_lambda_2_further_above_k_raises(self, monkeypatch):
-        eigs = np.array([2.0, 2.0 + 3 * TOL, 1.0, -1.0, -1.0, -2.0])  # band is 2 * TOL at k=2
+        eigs = np.array([2.0, 2.0 + 3 * TOL, 1.0, -1.0, -1.0, -2.0])  # slack is 2 * TOL at k=2
         monkeypatch.setattr(spectral, "adjacency_eigenvalues", lambda *args, **kwargs: eigs)
-        with pytest.raises(ValueError, match="exceeds k=2"):
+        with pytest.raises(EigensolverError) as err:
             analyze(cycle_graph(6))
+        assert str(err.value) == (
+            "spectrum contradicts the structure (components=1, bipartite=1, k=2): "
+            "an eigenvalue is 3.000e-08 off, above the slack 2.000e-08"
+        )
+        assert err.value.residual == pytest.approx(3 * TOL)
+
+    @pytest.mark.parametrize(
+        "g,want",
+        [(complete_bipartite_graph(3), 0.0), (cycle_graph(6), 1.0), (build_graph(2, [(0, 1)]), None)],
+        ids=["K3,3", "C6", "K2"],
+    )
+    def test_lambda_nontrivial(self, g, want):
+        lam = analyze(g).lambda_nontrivial
+        assert lam is None if want is None else lam == pytest.approx(want, abs=TOL)
+
+    def test_tolerance_below_rounding(self):
+        # The trivial eigenvalue 3 comes out 2.9999999999999982; the slack
+        # never falls below n * eps, so 1e-16 reads the spectrum as 1e-8 does.
+        b = k_regular_bipartite(GeneratorConfig(n=1024, k=3, seed=3))
+        sub, ref = analyze(b, tolerance=1e-16), analyze(b, tolerance=1e-8)
+        assert sub.is_connected is True and sub.ramanujan is True
+        assert sub.lambda_nontrivial == ref.lambda_nontrivial
 
     def test_dodziuk_interval_ordered(self):
         for g in (cycle_graph(7), petersen_graph(), circular_ladder_graph(6)):
@@ -505,3 +511,71 @@ class TestAnalyze:
         b = analyze(c6, method="jacobi")
         assert a.lambda_nontrivial == pytest.approx(b.lambda_nontrivial, abs=1e-7)
         assert a.ramanujan == b.ramanujan
+
+
+@st.composite
+def regular_unions(draw):
+    """(k, g): one to three random k-regular graphs side by side, with
+    vertex ids shuffled. Matching unions and bipartite circulants or
+    generalized Petersen graphs mix with complete graphs, odd circulants
+    and the rest, so a union may hold bipartite and other components."""
+    k = draw(st.integers(1, 4))
+    kinds = ["matchings", "complete"] + ["circulant"] * (k % 2 == 0) + ["petersen"] * (k == 3)
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "matchings":  # may itself be disconnected
+            n = draw(st.integers(k, 6))
+            sigma = draw(st.permutations(range(n)))
+            shifts = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True))
+            rows = [[sigma[(l + s) % n] for l in range(n)] for s in shifts]
+            parts.append(make_bipartite_expander(n, n, k, rows).to_graph())
+        elif kind == "complete":
+            parts.append(complete_graph(k + 1))
+        elif kind == "circulant":  # bipartite iff n is even and every jump odd
+            n = draw(st.integers(k + 1, 10))
+            jumps = draw(st.lists(st.integers(1, (n - 1) // 2), min_size=k // 2, max_size=k // 2, unique=True))
+            parts.append(build_graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps]))
+        else:
+            m = draw(st.integers(3, 8))
+            parts.append(generalized_petersen(m, draw(st.integers(1, (m - 1) // 2))))
+    union = disjoint_union(*parts)
+    label = draw(st.permutations(range(union.n)))
+    return k, build_graph(union.n, [(label[u], label[v]) for u, v in union.edge_array().tolist()])
+
+
+def lambda_by_components(g: Graph) -> float | None:
+    """Largest |lambda| left once one k, and one -k per bipartite
+    component, is removed from each component's own spectrum."""
+    nxg = nx.Graph(g.edge_array().tolist())
+    rest = []
+    for part in nx.connected_components(nxg):
+        sub = nxg.subgraph(part)
+        eigs = np.linalg.eigvalsh(nx.to_numpy_array(sub))  # ascending
+        rest += eigs[1 if nx.is_bipartite(sub) else 0 : -1].tolist()
+    return max(map(abs, rest)) if rest else None
+
+
+class TestStructureFromGraph:
+    """Connectivity and bipartiteness are read from the graph at every
+    tolerance, and the trivial eigenvalues removed by position."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(regular_unions(), st.floats(1e-6, 16.0), st.sampled_from(["lapack", "jacobi"]))
+    def test_facts_and_lambda_at_any_tolerance(self, case, exponent, method):
+        k, g = case
+        # Jacobi's off-diagonal norm stalls near rounding, so its sweeps
+        # may not reach a tolerance far below it.
+        tolerance = 10.0 ** -min(exponent, 12.0 if method == "jacobi" else 16.0)
+        rep = analyze(g, tolerance=tolerance, method=method)
+        assert rep.k == k
+        assert rep.is_connected is is_connected(g)
+        assert rep.is_bipartite is (bipartition(g) is not None)
+        want = lambda_by_components(g)
+        if want is None:
+            assert rep.lambda_nontrivial is None
+        else:
+            # Jacobi stops at an off-diagonal norm below the tolerance,
+            # which bounds each eigenvalue's error (Weyl).
+            err = 1e-9 + (tolerance if method == "jacobi" else 0.0)
+            assert rep.lambda_nontrivial == pytest.approx(want, abs=err)
