@@ -16,23 +16,22 @@ A workspace entered as a context manager also splits each kernel's
 per-sample ops across the CPUs in the process's affinity mask: the
 batched matmuls against the adjacency and the weights, the elementwise,
 bias and ReLU-mask ops, and the copy of a strided dout each run on
-contiguous batch slices, one per thread. The reductions over the batch
+contiguous batch slices, the first on the calling thread and the others
+on a thread pool that the with block owns. The reductions over the batch
 (the weight-gradient GEMMs, the bias and epsilon sums; the head GEMMs and
 the loss in model.py) run whole on the calling thread. No float depends
 on where the batch is cut, so results are bit-identical whatever the CPU
 count; see Workspace for why and for the rules a split follows.
-train() owns the only entered workspace, and its threads end with the
-run.
+train() owns the only entered workspace, and its pool shuts down with
+the run.
 """
 
 from __future__ import annotations
 
 import contextvars
 import enum
-import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,53 +171,9 @@ def _rows(a, s):
     return a[s] if np.ndim(a) == 3 else a
 
 
-class _Helper:
-    """One thread that runs the jobs handed to it, one at a time.
-
-    Two locks held closed pass control: start() opens "go" for the
-    thread, and join() waits for it to open "done". A hand-off measured
-    30-50 us, against 115 us for a concurrent.futures submit and wait.
-    """
-
-    def __init__(self):
-        self._go, self._done = threading.Lock(), threading.Lock()
-        self._go.acquire()
-        self._done.acquire()
-        self._job = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(target=self._loop, name="gin-split", daemon=True)
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            self._go.acquire()
-            if self._job is None:
-                return
-            try:
-                self._job()
-            except BaseException as e:  # re-raised by join() on the caller
-                self._error = e
-            self._done.release()
-
-    def start(self, job) -> None:
-        self._job = job
-        self._go.release()
-
-    def join(self) -> BaseException | None:
-        """Waits for the job; returns what it raised, if anything."""
-        self._done.acquire()
-        error, self._error = self._error, None
-        return error
-
-    def stop(self) -> None:
-        self._job = None
-        self._go.release()
-        self._thread.join()
-
-
 class Workspace:
     """Arrays that one training run reuses from step to step, and the
-    threads its kernels split the batch across.
+    thread pool its kernels split the batch across.
 
     take(key, shape) returns a C-contiguous view of the flat array stored
     under key, replacing it with a larger one when shape needs more room,
@@ -231,13 +186,14 @@ class Workspace:
     split(run, like) calls run(s) on contiguous slices s that cover the
     batch (first axis) of like. Inside `with Workspace() as ws:` and once
     like holds _SPLIT_MIN_FLOATS floats, the calling thread runs the
-    first slice and _WORKERS - 1 helper threads the others, each in a
+    first slice and a pool of _WORKERS - 1 threads the others, each in a
     copy of the caller's context (so np.errstate holds there too); split
-    returns when all are done and re-raises what a helper raised.
-    Otherwise, and always in a workspace that was never entered,
-    run(slice(0, B)) runs inline and no thread starts. The with block
-    owns the threads: train() enters one workspace per run, and its
-    threads end when the block exits, whether it returns or raises.
+    waits for every slice, whether one raised or not, and then re-raises
+    what a pool thread raised. Otherwise, and always in a workspace that
+    was never entered, run(slice(0, B)) runs inline and no thread starts.
+    The with block owns the pool: train() enters one workspace per run,
+    and the pool shuts down when the block exits, whether it returns or
+    raises.
 
     The split moves no bits. numpy's matmul makes one BLAS call per batch
     matrix and an elementwise op computes each element on its own, so no
@@ -252,16 +208,22 @@ class Workspace:
 
     def __init__(self):
         self._flat: dict[str, np.ndarray] = {}
-        self._helpers: list[_Helper] = []
+        self._pool = None  # a concurrent.futures.ThreadPoolExecutor inside the with block
 
     def __enter__(self) -> Workspace:
-        self._helpers = [_Helper() for _ in range(_WORKERS - 1)]
+        if _WORKERS > 1:
+            # imported here, not with the module: its import (logging
+            # included) adds about 6 ms to every CLI start on a 2-vCPU VM,
+            # trained or not
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="gin-split")
         return self
 
     def __exit__(self, *exc) -> None:
-        for helper in self._helpers:
-            helper.stop()
-        self._helpers = []
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
     def take(self, key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
@@ -272,18 +234,19 @@ class Workspace:
 
     def split(self, run, like: np.ndarray) -> None:
         batch = like.shape[0]
-        parts = min(len(self._helpers) + 1, batch)
+        parts = 1 if self._pool is None else min(_WORKERS, batch)
         if parts < 2 or like.size < _SPLIT_MIN_FLOATS:
             run(slice(0, batch))
             return
         cuts = [batch * i // parts for i in range(parts + 1)]
-        helpers = self._helpers[: parts - 1]
-        for helper, lo, hi in zip(helpers, cuts[1:-1], cuts[2:]):
-            helper.start(functools.partial(contextvars.copy_context().run, run, slice(lo, hi)))
+        jobs = [
+            self._pool.submit(contextvars.copy_context().run, run, slice(lo, hi))
+            for lo, hi in zip(cuts[1:-1], cuts[2:])
+        ]
         try:
             run(slice(0, cuts[1]))
         finally:
-            errors = [helper.join() for helper in helpers]
+            errors = [job.exception() for job in jobs]  # waits for each
         for error in errors:
             if error is not None:
                 raise error
@@ -365,16 +328,45 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
     return dz
 
 
-def _add_transposed(ws: Workspace, adj, d_agg, dh) -> None:
-    """dh += adjᵀ d_agg per sample, through scratch "b"."""
+def _add_transposed(ws: Workspace, adj, d_agg, base, out=None):
+    """out = base + adjᵀ d_agg per sample, through scratch "b"; returns
+    out, which is "b" itself when None and may be base."""
     adj_t = np.swapaxes(adj, -1, -2)
-    back = ws.take("b", d_agg.shape)
+    back = ws.take("b", base.shape)
+    out = back if out is None else out
 
     def run(s):
         np.matmul(_rows(adj_t, s), d_agg[s], out=back[s])
-        np.add(dh[s], back[s], out=dh[s])
+        np.add(base[s], back[s], out=out[s])
 
     ws.split(run, back)
+    return out
+
+
+def _gin_step(h_self, adj, h_nbr, p: GinLayerParams, ws: Workspace, key: str, out=None):
+    """The GIN update MLP((1 + eps) h_self + adj @ h_nbr) of Xu et al.
+    (2019); returns (out, cache), and cache[0] is h_self.
+
+    adj is the graph's adjacency with h_nbr = h_self in an ORIGINAL
+    layer, and in an expander phase the biadjacency, either way round,
+    that carries one side's features to the other.
+    """
+    agg = ws.take("a", h_self.shape)
+    ws.split(lambda s: np.matmul(_rows(adj, s), h_nbr[s], out=agg[s]), agg)
+    out, cache = _gin_mlp_forward(h_self, agg, p, ws, key, out)
+    return out, (*cache, adj)
+
+
+def _gin_step_backward(
+    dout, cache, p: GinLayerParams, grads: dict, prefix: str, ws, d_self, base, d_nbr=None
+):
+    """Backward of _gin_step: accumulates parameter grads under prefix and
+    writes d h_self into d_self unless it is None. Returns d h_nbr =
+    base + adjᵀ d agg, written as _add_transposed writes out, or None
+    when base is None."""
+    *mlp_cache, adj = cache
+    d_agg = _gin_mlp_backward(dout, mlp_cache, p, grads, prefix, ws, d_self)
+    return None if base is None else _add_transposed(ws, adj, d_agg, base, d_nbr)
 
 
 def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams, ws: Workspace | None = None, key=""):
@@ -382,12 +374,7 @@ def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams, ws: Workspace
 
     key names the layer in ws: the layers of one pass need distinct keys.
     """
-    if ws is None:
-        ws = Workspace()
-    agg = ws.take("a", h.shape)
-    ws.split(lambda s: np.matmul(_rows(adj, s), h[s], out=agg[s]), agg)
-    out, cache = _gin_mlp_forward(h, agg, p, ws, key)
-    return out, (*cache, adj)
+    return _gin_step(h, adj, h, p, Workspace() if ws is None else ws, key)
 
 
 def gin_backward(
@@ -398,13 +385,8 @@ def gin_backward(
     slot. With slot None it skips d h and returns None."""
     if ws is None:
         ws = Workspace()
-    *mlp_cache, adj = cache
-    dh = None if slot is None else ws.take(slot, mlp_cache[0].shape)
-    d_agg = _gin_mlp_backward(dout, mlp_cache, p, grads, prefix, ws, dh)
-    if dh is None:
-        return None
-    _add_transposed(ws, adj, d_agg, dh)
-    return dh
+    dh = None if slot is None else ws.take(slot, cache[0].shape)
+    return _gin_step_backward(dout, cache, p, grads, prefix, ws, dh, dh, dh)
 
 
 def expander_forward(
@@ -424,9 +406,7 @@ def expander_forward(
     out = ws.take(key + "out", h.shape)
     out_left, out_right = out[..., :n, :], out[..., n:, :]
     if p.mode is HyperedgeMode.LEARNED:
-        agg = ws.take("a", h_left.shape)
-        ws.split(lambda s: np.matmul(_rows(biadj, s), h_left[s], out=agg[s]), agg)
-        _, c1 = _gin_mlp_forward(h_right, agg, p.forward_gin, ws, key + "forward.", out_right)
+        _, c1 = _gin_step(h_right, biadj, h_left, p.forward_gin, ws, key + "forward.", out_right)
     else:
         lin = p.summation_linear
         c1 = ws.take(key + "summation", h_left.shape)
@@ -438,9 +418,7 @@ def expander_forward(
 
         ws.split(summation, c1)
     biadj_t = np.swapaxes(biadj, -1, -2)
-    agg = ws.take("a", h_left.shape)
-    ws.split(lambda s: np.matmul(_rows(biadj_t, s), out_right[s], out=agg[s]), agg)
-    _, c2 = _gin_mlp_forward(h_left, agg, p.backward_gin, ws, key + "backward.", out_left)
+    _, c2 = _gin_step(h_left, biadj_t, out_right, p.backward_gin, ws, key + "backward.", out_left)
     return out, (n, biadj, c1, c2)
 
 
@@ -457,17 +435,12 @@ def expander_backward(
     dh = None if slot is None else ws.take(slot, dout.shape)
     d_left = None if dh is None else dh[..., :n, :]
     d_right_self = None if dh is None else dh[..., n:, :]
-    d_agg = _gin_mlp_backward(d_left_out, c2, p.backward_gin, grads, prefix + "backward.", ws, d_left)
-    d_right = ws.take("b", d_agg.shape)
-
-    def right_grad(s):
-        np.matmul(_rows(biadj, s), d_agg[s], out=d_right[s])
-        np.add(d_right_out[s], d_right[s], out=d_right[s])
-
-    ws.split(right_grad, d_right)
+    d_right = _gin_step_backward(
+        d_left_out, c2, p.backward_gin, grads, prefix + "backward.", ws, d_left, d_right_out
+    )
     if p.mode is HyperedgeMode.LEARNED:
-        d_agg = _gin_mlp_backward(
-            d_right, c1, p.forward_gin, grads, prefix + "forward.", ws, d_right_self
+        _gin_step_backward(
+            d_right, c1, p.forward_gin, grads, prefix + "forward.", ws, d_right_self, d_left, d_left
         )
     else:
         lin = p.summation_linear
@@ -481,7 +454,6 @@ def expander_backward(
                 d_right_self[s].fill(0.0)
 
         ws.split(summation_grad, d_agg)
-    if dh is None:
-        return None
-    _add_transposed(ws, biadj, d_agg, d_left)
+        if dh is not None:
+            _add_transposed(ws, biadj, d_agg, d_left, d_left)
     return dh

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, bfs_diameter, is_connected, is_k_regular
+from .graphs import Graph, bfs_diameter, is_k_regular
 from .spectral import DEFAULT_TOLERANCE, NotRegularError, analyze, check_tolerance
 
 MAX_ORACLE_N = 24
@@ -288,8 +288,8 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
     """Check the diameter bound, the edge-expansion sandwich, and the
     spectral vertex-expansion inequality against exhaustive ground truth.
 
-    The spectral side, the diameter bound included, is analyze's
-    certificate of the connected graph.
+    The spectral side, the diameter bound included, and connectivity
+    come from analyze's report; a disconnected graph raises ValueError.
 
     The vertex-expansion inequality is a diagnostic, not an assertion: it
     fails on bipartite graphs (one full side achieves ratio 1 against a
@@ -301,11 +301,11 @@ def verify_bounds(g: Graph, tolerance: float = DEFAULT_TOLERANCE) -> BoundReport
         raise NotRegularError("verify_bounds requires a k-regular graph")
     if g.n < 2:
         raise OracleDomainError("verify_bounds needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("verify_bounds requires a connected graph")
     _check_domain(g)
 
     spec = analyze(g, tolerance)
+    if not spec.is_connected:
+        raise ValueError("verify_bounds requires a connected graph")
     k, lam, bip = spec.k, spec.lambda_nontrivial, spec.is_bipartite
     diameter = int(bfs_diameter(g))
     vertex_key, edge_key, worst = _scan(g, k - spec.lambda_2)

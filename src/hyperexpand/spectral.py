@@ -45,7 +45,7 @@ def check_tolerance(tolerance: float) -> None:
     """Reject a tolerance outside (0, 1), NaN and infinities included.
 
     At or above 1 analyze's cross-check slack is at least k, so it would
-    admit any spectrum; at 0 Jacobi can never converge.
+    admit any spectrum; at 0 or below it would claim exact arithmetic.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance}")
@@ -63,7 +63,10 @@ def jacobi_eigenvalues(
 
     Unconditionally convergent on symmetric input; eigenvalue error is
     bounded by the final off-diagonal norm, checked before each of the
-    max_sweeps sweeps and once after the last.  Each rotation runs the
+    max_sweeps sweeps and once after the last.  Rounding in the rotations
+    keeps that norm near eps * ||A||, so a tolerance below n * eps * ||A||
+    (||A|| the largest absolute row sum, k for a k-regular adjacency) is
+    raised to it; analyze's slack allows for this.  Each rotation runs the
     plain expressions rot_p = c*x_p - s*x_q, rot_q = s*x_p + c*x_q on
     rows p, q and then on columns p, q as in-place 1-d ufunc calls on row
     and column views through preallocated buffers: the same multiplies,
@@ -78,6 +81,7 @@ def jacobi_eigenvalues(
     n = a.shape[0]
     if n < 2:
         return np.diag(a).copy()
+    tolerance = max(tolerance, n * np.finfo(np.float64).eps * float(np.abs(a).sum(axis=1).max()))
     # Rotations below this size cannot help reach the target this sweep.
     skip = tolerance / (2.0 * n)
     rows, cols = list(a), list(a.T)  # views of row i and column i
@@ -272,8 +276,10 @@ def analyze(
     graph built. With c components, b of them bipartite, the first c
     eigenvalues are k and the last b are -k, and lambda_nontrivial is
     the largest magnitude among the rest (None if none is left). A
-    spectrum farther than max(1, k) * max(tolerance, n * eps) from that
-    raises EigensolverError. The Ramanujan verdict and diameter bound
+    spectrum farther than max(1, k) * max(tolerance, 4 * n * eps) from
+    that raises EigensolverError: 4 * n * eps * k covers Jacobi's final
+    residual (below n * eps * k) and its rotations' rounding (measured
+    at up to 1.75 * n * eps * k). The Ramanujan verdict and diameter bound
     are None for a disconnected graph and without lambda_nontrivial; a
     lambda at most the tolerance is 0 in the bound, which is then alpha.
     """
@@ -291,7 +297,7 @@ def analyze(
         c, b, side = components(g) if g.n <= MAX_DENSE_N else (1, 1, None)  # refused before the BFS
         eigs = adjacency_eigenvalues(g, tolerance, method, side=side)
     n = g.n
-    slack = max(1.0, float(k)) * max(tolerance, n * np.finfo(np.float64).eps)
+    slack = max(1.0, float(k)) * max(tolerance, 4 * n * np.finfo(np.float64).eps)
     # the largest |lambda| comes first, so a NaN anywhere carries through max
     off = max(np.abs(eigs).max() - k, np.abs(eigs[:c] - k).max(), np.abs(eigs[n - b :] + k).max(initial=0.0))
     if not off <= slack:

@@ -17,6 +17,7 @@ from hyperexpand.graphs import (
     MAX_VERTICES,
     circular_ladder_graph,
     complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     build_graph,
 )
@@ -29,7 +30,7 @@ from hyperexpand.serialize import (
 )
 from hyperexpand.spectral import MAX_DENSE_N, MAX_JACOBI_N
 
-from helpers import child_env
+from helpers import child_env, disjoint_union
 
 
 def write_graph(tmp_path, name, g):
@@ -501,6 +502,16 @@ class TestVerify:
 
     def test_oracle_cap_exits_1(self, tmp_path, capsys):
         path = write_graph(tmp_path, "c30.json", cycle_graph(30))
+        assert entry(["verify", "--in", path]) == EXIT_USAGE
+        assert "capped" in capsys.readouterr().err
+
+    def test_disconnected_exits_1(self, tmp_path, capsys):
+        path = write_graph(tmp_path, "2k4.json", disjoint_union(complete_graph(4), complete_graph(4)))
+        assert entry(["verify", "--in", path]) == EXIT_USAGE
+        assert "requires a connected graph" in capsys.readouterr().err
+
+    def test_oracle_cap_comes_before_the_eigensolve(self, tmp_path, capsys, no_eigensolve):
+        path = write_graph(tmp_path, "2c15.json", disjoint_union(cycle_graph(15), cycle_graph(15)))
         assert entry(["verify", "--in", path]) == EXIT_USAGE
         assert "capped" in capsys.readouterr().err
 

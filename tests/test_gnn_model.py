@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from hyperexpand.construct import GeneratorConfig
+from hyperexpand.gnn import layers
 from hyperexpand.gnn.layers import (
     Affine,
     GinLayerParams,
@@ -13,6 +17,7 @@ from hyperexpand.gnn.layers import (
     gin_forward,
 )
 from hyperexpand.gnn.model import (
+    backward_batch,
     build_model,
     forward_batch,
     loss_and_gradients,
@@ -179,6 +184,37 @@ class TestForwardRewired:
         assert np.max(np.abs(h_right)) > 0.0
         assert not np.allclose(h3[:, 4:], h_right)
         assert np.max(np.abs(h3[:, 4:] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", list(HyperedgeMode))
+def test_each_layer_calls_its_public_kernel_once(mode, monkeypatch):
+    # perfbench counts ORIGINAL layers as calls of gin_forward and
+    # gin_backward, wrapped wherever a hyperexpand module holds them: an
+    # expander phase that called them would count as an ORIGINAL layer.
+    calls = Counter()
+    for name in ("gin_forward", "gin_backward", "expander_forward", "expander_backward"):
+        kernel = getattr(layers, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("hyperexpand") and getattr(module, name, None) is kernel:
+                monkeypatch.setattr(module, name, counted)
+    inst = augment(cycle_graph(4), GeneratorConfig(n=4, k=3, seed=5), num_layers=5)
+    schedule = layer_schedule(5)
+    model = build_model(3, 4, 2, schedule, mode=mode, seed=9)
+    feats = padded_features(inst, np.arange(12, dtype=np.float64).reshape(4, 3) / 10.0)
+    logits, caches = forward_batch(model, feats, augmented_adjacency(inst), inst.expander.biadjacency())
+    backward_batch(model, softmax_cross_entropy(logits, np.array([1]))[1], caches)
+    original = schedule.count(LayerKind.ORIGINAL)
+    expander = len(schedule) - original
+    assert original and expander
+    assert calls == {
+        "gin_forward": original, "gin_backward": original,
+        "expander_forward": expander, "expander_backward": expander,
+    }
 
 
 class TestSoftmaxCrossEntropy:

@@ -564,9 +564,7 @@ class TestStructureFromGraph:
     @given(regular_unions(), st.floats(1e-6, 16.0), st.sampled_from(["lapack", "jacobi"]))
     def test_facts_and_lambda_at_any_tolerance(self, case, exponent, method):
         k, g = case
-        # Jacobi's off-diagonal norm stalls near rounding, so its sweeps
-        # may not reach a tolerance far below it.
-        tolerance = 10.0 ** -min(exponent, 12.0 if method == "jacobi" else 16.0)
+        tolerance = 10.0 ** -exponent
         rep = analyze(g, tolerance=tolerance, method=method)
         assert rep.k == k
         assert rep.is_connected is is_connected(g)
@@ -575,7 +573,16 @@ class TestStructureFromGraph:
         if want is None:
             assert rep.lambda_nontrivial is None
         else:
-            # Jacobi stops at an off-diagonal norm below the tolerance,
-            # which bounds each eigenvalue's error (Weyl).
+            # Jacobi stops at an off-diagonal norm below the tolerance
+            # (or its rounding floor), which bounds each eigenvalue's
+            # error (Weyl).
             err = 1e-9 + (tolerance if method == "jacobi" else 0.0)
             assert rep.lambda_nontrivial == pytest.approx(want, abs=err)
+
+    @pytest.mark.parametrize("g", [cycle_graph(4), petersen_graph()], ids=["C4", "Petersen"])
+    def test_jacobi_below_rounding_agrees_with_lapack(self, g):
+        # the off-diagonal norm stalls near 3e-16 (C4) and 9e-16 (Petersen)
+        jacobi = analyze(g, tolerance=1e-16, method="jacobi").to_dict()
+        lapack = analyze(g, tolerance=1e-16, method="lapack").to_dict()
+        assert jacobi.pop("eigenvalues") == pytest.approx(lapack.pop("eigenvalues"), abs=1e-14)
+        assert jacobi == pytest.approx(lapack, abs=1e-14)

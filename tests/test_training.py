@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import sys
 import threading
 import tracemalloc
@@ -534,8 +535,10 @@ class TestSplitThreads:
     def test_entered_workspace_owns_its_threads(self):
         before = threading.active_count()
         assert Workspace().take("x", (2,)).shape == (2,) and threading.active_count() == before
-        with Workspace():
-            assert threading.active_count() == before + 2
+        with Workspace() as ws:
+            for _ in range(3):  # the pool starts its threads on demand
+                ws.split(lambda s: None, np.zeros((6, 1, 1)))
+                assert before < threading.active_count() <= before + layers._WORKERS - 1
         assert threading.active_count() == before
 
     def test_no_thread_outlives_train(self):
@@ -552,9 +555,9 @@ class TestSplitThreads:
 
     def test_unentered_workspace_runs_inline(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("a thread started")
+            raise AssertionError("a thread pool was made")
 
-        monkeypatch.setattr(layers, "_Helper", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         cfg = tiny(rewire=True)
         data, in_dim, num_classes = _prepare_data(cfg)
         model = build_model(in_dim, 8, num_classes, layer_schedule(2), seed=0)
