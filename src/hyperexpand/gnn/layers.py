@@ -2,7 +2,9 @@
 
 Everything is dense float64 numpy. The kernels take features of shape
 (batch, nodes, dim) and an adjacency of shape (nodes, nodes) or
-(batch, nodes, nodes).
+(batch, nodes, nodes). A shared (m, m) adjacency may cover only the first
+m < nodes rows: a rewired run's tree adjacency, whose hyperedge rows
+aggregate zero.
 Gradients are accumulated into a flat name->array dict so the finite
 difference tests and the optimizer can treat parameters uniformly.
 
@@ -17,11 +19,14 @@ per-sample ops across the CPUs in the process's affinity mask: the
 batched matmuls against the adjacency and the weights, the elementwise,
 bias and ReLU-mask ops, and the copy of a strided dout each run on
 contiguous batch slices, the first on the calling thread and the others
-on a thread pool that the with block owns. The reductions over the batch
-(the weight-gradient GEMMs, the bias and epsilon sums; the head GEMMs and
-the loss in model.py) run whole on the calling thread. No float depends
-on where the batch is cut, so results are bit-identical whatever the CPU
-count; see Workspace for why and for the rules a split follows.
+on a thread pool that the with block owns. Every reduction over the
+batch (the weight-gradient GEMMs, the bias and epsilon sums; the head
+GEMMs and the loss in model.py) runs whole on one thread. The two
+weight-gradient GEMMs of one GIN backward may run at the same time, one
+on the calling thread and one on a pool thread. No float depends on where
+the batch is cut or on which thread runs a reduction, so results are
+bit-identical whatever the CPU count; see Workspace for why and for the
+rules a split follows.
 train() owns the only entered workspace, and its pool shuts down with
 the run.
 """
@@ -72,8 +77,8 @@ class ExpanderLayerParams:
     LEARNED mode runs a GIN update on the hyperedge nodes, reading their
     own rows as well as their left neighbors. Those rows are not carried
     unchanged from one expander layer to the next: each ORIGINAL layer in
-    between applies its MLP to them with zero aggregation, because they
-    are isolated in the augmented adjacency. SUMMATION mode overwrites
+    between applies its MLP to them with zero aggregation, because the
+    tree adjacency does not reach them. SUMMATION mode overwrites
     each hyperedge feature with a linear map of the sum of its left
     neighbors. Phase 2 is always a GIN update of the left nodes.
     """
@@ -191,6 +196,9 @@ class Workspace:
     waits for every slice, whether one raised or not, and then re-raises
     what a pool thread raised. Otherwise, and always in a workspace that
     was never entered, run(slice(0, B)) runs inline and no thread starts.
+    pair(first, second, like) follows the same rule: first runs on a pool
+    thread while second runs on the calling thread, or both run inline,
+    first then second.
     The with block owns the pool: train() enters one workspace per run,
     and the pool shuts down when the block exits, whether it returns or
     raises.
@@ -198,7 +206,8 @@ class Workspace:
     The split moves no bits. numpy's matmul makes one BLAS call per batch
     matrix and an elementwise op computes each element on its own, so no
     float depends on where the batch is cut; every reduction over the
-    batch runs whole on the calling thread, between splits. A run(s)
+    batch runs whole on one thread, between splits, and the two that pair
+    runs at once only read their inputs and write separate gradients. A run(s)
     touches only slice s of batched operands, never calls take (keys are
     taken before the split), and calls no public kernel: perfbench's span
     recorder keeps one span stack for one thread. A key that one kernel
@@ -232,24 +241,45 @@ class Workspace:
             self._flat[key] = np.empty(size, dtype)
         return self._flat[key][:size].reshape(shape)
 
-    def split(self, run, like: np.ndarray) -> None:
-        batch = like.shape[0]
-        parts = 1 if self._pool is None else min(_WORKERS, batch)
-        if parts < 2 or like.size < _SPLIT_MIN_FLOATS:
-            run(slice(0, batch))
-            return
-        cuts = [batch * i // parts for i in range(parts + 1)]
-        jobs = [
-            self._pool.submit(contextvars.copy_context().run, run, slice(lo, hi))
-            for lo, hi in zip(cuts[1:-1], cuts[2:])
-        ]
+    def _parts(self, like: np.ndarray) -> int:
+        """Threads that share the work on like's batch: 1 unless entered
+        and like holds _SPLIT_MIN_FLOATS floats."""
+        if self._pool is None or like.size < _SPLIT_MIN_FLOATS:
+            return 1
+        return min(_WORKERS, like.shape[0])
+
+    def _join(self, jobs, run, *args) -> None:
+        """Runs run(*args) here, waits for every pool job, then re-raises
+        what a pool job raised."""
         try:
-            run(slice(0, cuts[1]))
+            run(*args)
         finally:
             errors = [job.exception() for job in jobs]  # waits for each
         for error in errors:
             if error is not None:
                 raise error
+
+    def _submit(self, run, *args):
+        return self._pool.submit(contextvars.copy_context().run, run, *args)
+
+    def split(self, run, like: np.ndarray) -> None:
+        batch = like.shape[0]
+        parts = self._parts(like)
+        if parts < 2:
+            run(slice(0, batch))
+            return
+        cuts = [batch * i // parts for i in range(parts + 1)]
+        jobs = [self._submit(run, slice(lo, hi)) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+        self._join(jobs, run, slice(0, cuts[1]))
+
+    def pair(self, first, second, like: np.ndarray) -> None:
+        """first() on a pool thread while second() runs here, when split
+        would split like; else first() then second(), inline."""
+        if self._parts(like) < 2:
+            first()
+            second()
+            return
+        self._join([self._submit(first)], second)
 
 
 def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -310,10 +340,16 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
         np.copyto(da1s, 0.0, where=offs)
 
     ws.split(relu_grad, da1)
-    grads[prefix + "w2"] += _weight_grad(r, dy)
-    grads[prefix + "b2"] += dout.sum(axis=(0, 1))
-    grads[prefix + "w1"] += _weight_grad(z, da1)
-    grads[prefix + "b1"] += da1.sum(axis=(0, 1))
+
+    def output_grads():
+        grads[prefix + "w2"] += _weight_grad(r, dy)
+        grads[prefix + "b2"] += dout.sum(axis=(0, 1))
+
+    def hidden_grads():
+        grads[prefix + "w1"] += _weight_grad(z, da1)
+        grads[prefix + "b1"] += da1.sum(axis=(0, 1))
+
+    ws.pair(output_grads, hidden_grads, da1)  # both only read, and write separate grads
     dz = ws.take("a", z.shape)
 
     def input_grad(s):
@@ -330,13 +366,16 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
 
 def _add_transposed(ws: Workspace, adj, d_agg, base, out=None):
     """out = base + adjᵀ d_agg per sample, through scratch "b"; returns
-    out, which is "b" itself when None and may be base."""
+    out, which is "b" itself when None and may be base. Rows of base past
+    those adjᵀ covers get base + 0.0."""
     adj_t = np.swapaxes(adj, -1, -2)
+    m, width = adj_t.shape[-2:]
     back = ws.take("b", base.shape)
     out = back if out is None else out
 
     def run(s):
-        np.matmul(_rows(adj_t, s), d_agg[s], out=back[s])
+        np.matmul(_rows(adj_t, s), d_agg[s, :width], out=back[s, :m])
+        back[s, m:] = 0.0
         np.add(base[s], back[s], out=out[s])
 
     ws.split(run, back)
@@ -349,10 +388,23 @@ def _gin_step(h_self, adj, h_nbr, p: GinLayerParams, ws: Workspace, key: str, ou
 
     adj is the graph's adjacency with h_nbr = h_self in an ORIGINAL
     layer, and in an expander phase the biadjacency, either way round,
-    that carries one side's features to the other.
+    that carries one side's features to the other. An (m, width)
+    adjacency aggregates h_nbr's first width rows onto h_self's first m,
+    and the rows past m aggregate 0.0: with the tree's n x n block a
+    rewired run's hyperedge rows skip a product that would only add zeros.
+    The elementwise (1 + eps) h_self + agg still covers every row, so the
+    rows past m get the zero-padded adjacency's bits, signed zeros
+    included; the first m get the same sums, which BLAS may round in
+    another order than it does for the padded product.
     """
     agg = ws.take("a", h_self.shape)
-    ws.split(lambda s: np.matmul(_rows(adj, s), h_nbr[s], out=agg[s]), agg)
+    m, width = adj.shape[-2:]
+
+    def aggregate(s):
+        np.matmul(_rows(adj, s), h_nbr[s, :width], out=agg[s, :m])
+        agg[s, m:] = 0.0
+
+    ws.split(aggregate, agg)
     out, cache = _gin_mlp_forward(h_self, agg, p, ws, key, out)
     return out, (*cache, adj)
 
@@ -372,7 +424,10 @@ def _gin_step_backward(
 def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams, ws: Workspace | None = None, key=""):
     """Returns (out, cache) for h of shape (B, n, d_in); cache[0] is h.
 
-    key names the layer in ws: the layers of one pass need distinct keys.
+    adj is (n, n), (B, n, n), or a shared (m, m) block over the first
+    m < n rows of h; the other rows aggregate zero, as they would under
+    the block padded with zeros to (n, n). key names the layer in ws: the
+    layers of one pass need distinct keys.
     """
     return _gin_step(h, adj, h, p, Workspace() if ws is None else ws, key)
 

@@ -107,9 +107,11 @@ def forward_batch(
 ):
     """feats (B, n, in_dim) -> (logits (B, C), caches for backward).
 
-    Layer i keeps its output and cache in ws under "layers.{i}."; they
-    stay valid until the next pass through the same workspace. The
-    logits are a fresh array.
+    adj_orig is every ORIGINAL layer's adjacency; a rewired run passes the
+    tree's own block, which covers the first half of the rows (see
+    gin_forward). Layer i keeps its output and cache in ws under
+    "layers.{i}."; they stay valid until the next pass through the same
+    workspace. The logits are a fresh array.
     """
     if ws is None:
         ws = Workspace()

@@ -96,8 +96,8 @@ def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
     widths; 3 * num_layers + 2 hidden-width arrays; and the ReLU mask at
     one byte per hidden entry. Per sample besides: the head's input gradient,
     the logits, probabilities and their gradient, the target, and the
-    n x n expander overlay. Fixed: the dense adjacency over the rows that
-    the batch shares, at most two GIN MLPs per layer, each weight with
+    n x n expander overlay. Fixed: the n x n tree adjacency that the
+    batch shares, at most two GIN MLPs per layer, each weight with
     its gradient and optimizer arrays, and 2^14 floats for the run's
     smaller objects (tracemalloc put them at up to 9k floats, depth 1
     learned).
@@ -111,7 +111,7 @@ def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
     per_sample += -(-rows * hidden // 8) + hidden + 3 * classes + 1
     if cfg.rewire:
         per_sample += n * n
-    fixed = rows * rows + 12 * layers * (in_dim + hidden) * hidden + 2**14
+    fixed = n * n + 12 * layers * (in_dim + hidden) * hidden + 2**14
     return per_sample, fixed
 
 
@@ -129,7 +129,7 @@ class TrainResult:
 class _Batch:
     feats: np.ndarray  # (B, nodes, in_dim)
     targets: np.ndarray  # (B,)
-    adj_orig: np.ndarray  # (nodes, nodes), shared
+    adj_orig: np.ndarray  # (n, n) tree adjacency, shared; covers the first n rows
     biadj: np.ndarray | None  # (B, n, n) or None
 
 
@@ -141,23 +141,24 @@ def _prepare_data(cfg: TrainConfig) -> tuple[_Batch, int, int]:
     per-instance overlays (instance i seeded derive_seed(root, i)) with
     one k_regular_bipartite_batch call and scatters them into the
     (B, n, n) biadjacency. Each array equals the per-instance
-    construction bit for bit.
+    construction bit for bit. Every run shares the n x n tree adjacency;
+    in a rewired run it covers the first n of the 2n feature rows, and
+    the ORIGINAL layers give the hyperedge rows zero aggregation.
     """
     rng = SplitMix64(derive_seed(cfg.seed, DATA_STREAM))
     data = make_dataset(cfg.depth, cfg.dataset_size, rng)
     tree = tree_graph(cfg.depth)
     feats = data.features(2 * tree.n if cfg.rewire else tree.n)
     in_dim, num_classes = feats.shape[2], 2**cfg.depth
+    adj = tree.adjacency_matrix()
     if not cfg.rewire:
-        return _Batch(feats, data.targets(), tree.adjacency_matrix(), None), in_dim, num_classes
+        return _Batch(feats, data.targets(), adj, None), in_dim, num_classes
 
     root = derive_seed(cfg.seed, EXPANDER_STREAM)
     gen = GeneratorConfig(n=tree.n, k=min(cfg.expander_k, tree.n))
     seeds = derive_seeds(np.uint64(root), np.arange(cfg.dataset_size, dtype=np.uint64))
     biadj = matching_biadjacency(k_regular_bipartite_batch(gen, seeds))
-    adj_aug = np.zeros((2 * tree.n, 2 * tree.n))
-    adj_aug[: tree.n, : tree.n] = tree.adjacency_matrix()
-    return _Batch(feats, data.targets(), adj_aug, biadj), in_dim, num_classes
+    return _Batch(feats, data.targets(), adj, biadj), in_dim, num_classes
 
 
 def _slice(batch: _Batch, lo: int, hi: int) -> _Batch:

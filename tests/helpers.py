@@ -429,9 +429,7 @@ def prepare_data_by_instance(cfg: TrainConfig):
     ])
     feats = np.zeros((cfg.dataset_size, 2 * tree.n, raw.shape[2]))
     feats[:, : tree.n] = raw
-    adj = np.zeros((2 * tree.n, 2 * tree.n))
-    adj[: tree.n, : tree.n] = tree.adjacency_matrix()
-    return feats, targets, adj, biadj
+    return feats, targets, tree.adjacency_matrix(), biadj
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -498,11 +496,14 @@ def side_block_by_loop(g: TupleGraph, side: list[int]) -> np.ndarray:
 def jacobi_by_slices(matrix, tolerance: float, max_sweeps: int = 60) -> np.ndarray:
     """Cyclic Jacobi with each rotation as whole-row and whole-column
     expressions and slice assignments, and the residual checked once more
-    after the last sweep: the reference for the in-place ufunc rotation."""
+    after the last sweep: the reference for the in-place ufunc rotation.
+    Like the solver, it stops no lower than n * eps * (largest absolute
+    row sum), where rounding keeps the off-diagonal norm."""
     a = np.array(matrix, dtype=np.float64)
     n = a.shape[0]
     if n == 1:
         return a[0, :1].copy()
+    tolerance = max(tolerance, n * np.finfo(np.float64).eps * float(np.abs(a).sum(axis=1).max()))
     residual = _offdiag_norm(a)
     for _ in range(max_sweeps):
         if residual < tolerance:

@@ -353,6 +353,13 @@ class TestJacobiRotationBits:
         a = g.adjacency_matrix()
         assert jacobi_eigenvalues(a, TOL).tobytes() == jacobi_by_slices(a, TOL).tobytes()
 
+    @pytest.mark.parametrize("tolerance", [TOL, 1e-16])
+    @pytest.mark.parametrize("g", [cycle_graph(4), petersen_graph()], ids=["C4", "Petersen"])
+    def test_below_rounding(self, g, tolerance):
+        # at 1e-16 both stop on the n * eps * ||A|| floor, not the tolerance
+        a = g.adjacency_matrix()
+        assert jacobi_eigenvalues(a, tolerance).tobytes() == jacobi_by_slices(a, tolerance).tobytes()
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan, math.inf])

@@ -527,6 +527,37 @@ class TestBatchSplit:
             with pytest.raises(FloatingPointError):
                 ws.split(run, np.zeros((6, 1, 1)))
 
+    def test_pair_runs_first_on_a_pool_thread(self, split_everything):
+        where = {}
+        with Workspace() as ws:
+            ws.pair(lambda: where.setdefault("first", threading.get_ident()),
+                    lambda: where.setdefault("second", threading.get_ident()), np.zeros((6, 1, 1)))
+        assert where["second"] == threading.get_ident() != where["first"]
+
+    def test_pair_runs_inline_in_order_below_the_split_size(self):
+        calls = []
+
+        def first():
+            calls.append(("first", threading.get_ident()))
+
+        def second():
+            calls.append(("second", threading.get_ident()))
+
+        like = np.zeros((6, 1, 1))
+        Workspace().pair(first, second, like)
+        with Workspace() as ws:  # entered, but like is below _SPLIT_MIN_FLOATS
+            ws.pair(first, second, like)
+        assert calls == [("first", threading.get_ident()), ("second", threading.get_ident())] * 2
+
+    def test_pair_error_reaches_the_caller(self, split_everything):
+        def first():
+            raise FloatingPointError("in the pool")
+
+        with Workspace() as ws:
+            with pytest.raises(FloatingPointError, match="in the pool"):
+                ws.pair(first, lambda: None, np.zeros((6, 1, 1)))
+            ws.pair(lambda: None, lambda: None, np.zeros((6, 1, 1)))  # the pool still serves
+
 
 @pytest.mark.usefixtures("split_everything")
 class TestSplitThreads:
