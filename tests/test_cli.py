@@ -740,6 +740,7 @@ class TestTrainMemoryLimit:
         assert entry(TINY_TRAIN + ["--depth", "9"]) == EXIT_USAGE
         assert "depth must be in 1..8" in capsys.readouterr().err
 
+
 class TestGnnImportedForTrainOnly:
     """Only the train subcommand loads the GNN package."""
 

@@ -22,13 +22,13 @@ from hyperexpand.gnn.layers import (
     init_gin_params,
 )
 from hyperexpand.gnn.model import build_model, loss_and_gradients, named_parameters
-from hyperexpand.rewire import layer_schedule
 from hyperexpand.graphs import (
     build_graph,
     cycle_graph,
     make_bipartite_expander,
     path_graph,
 )
+from hyperexpand.rewire import layer_schedule
 from hyperexpand.rng import SplitMix64
 
 
@@ -302,7 +302,6 @@ def test_path_graph_message_range():
     h = np.array([[1.0], [0.0], [0.0]])
     out = gin_layer(h, g, identity_gin(1))
     assert out.tolist() == [[1.0], [1.0], [0.0]]
-
 
 
 def with_signed_zeros(rng, a):
