@@ -26,6 +26,7 @@ from .oracle import OracleDomainError, verify_bounds
 from .rewire import augment
 from .serialize import bipartite_to_dict, dumps_canonical, edgelist_dumps, load_graph_file
 from .spectral import DEFAULT_TOLERANCE, EigensolverError, NotRegularError, analyze
+from .gnn import HyperedgeMode, TrainConfig, TrainingDiverged, train
 
 TOOL_VERSION = __version__
 
@@ -154,22 +155,7 @@ def _check_out_path(flag: str, path: str) -> None:
         raise ValueError(f"{flag} {path}: directory {p.parent} does not exist")
 
 
-def train(cfg):
-    """hyperexpand.gnn.train, looked up at each call: only the train
-    subcommand loads the GNN package."""
-    from . import gnn
-
-    return gnn.train(cfg)
-
-
-def _numerical_failure(e: Exception) -> int:
-    print(f"hyperexpand: numerical failure: {e}", file=sys.stderr)
-    return EXIT_NUMERIC
-
-
 def _cmd_train(args) -> int:
-    from .gnn import HyperedgeMode, TrainConfig, TrainingDiverged
-
     seeds = _parse_seeds(args)
     if not seeds:
         raise ValueError("--seeds gave no seeds")
@@ -198,10 +184,7 @@ def _cmd_train(args) -> int:
             dataset_size=args.dataset_size,
             optimizer=args.optimizer,
         )
-        try:
-            result = train(cfg)
-        except TrainingDiverged as e:  # entry() cannot name it without the GNN package
-            return _numerical_failure(e)
+        result = train(cfg)
         first_perfect = next(
             (e + 1 for e, acc in enumerate(result.accuracies) if acc >= 1.0), None
         )
@@ -296,8 +279,9 @@ def entry(argv: list[str] | None = None) -> int:
     except RetryBudgetExhausted as e:
         print(f"hyperexpand: budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (EigensolverError, FloatingPointError) as e:
-        return _numerical_failure(e)
+    except (EigensolverError, TrainingDiverged, FloatingPointError) as e:
+        print(f"hyperexpand: numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (
         GraphError,
         NotRegularError,

@@ -4,7 +4,7 @@ Everything is dense float64 numpy. The kernels take features of shape
 (batch, nodes, dim) and an adjacency of shape (nodes, nodes) or
 (batch, nodes, nodes). A shared (m, m) adjacency may cover only the first
 m < nodes rows: a rewired run's tree adjacency, whose hyperedge rows
-aggregate zero.
+aggregate zero, as under the adjacency zero-padded to (nodes, nodes).
 Gradients are accumulated into a flat name->array dict so the finite
 difference tests and the optimizer can treat parameters uniformly.
 
@@ -207,12 +207,13 @@ class Workspace:
     matrix and an elementwise op computes each element on its own, so no
     float depends on where the batch is cut; every reduction over the
     batch runs whole on one thread, between splits, and the two that pair
-    runs at once only read their inputs and write separate gradients. A run(s)
-    touches only slice s of batched operands, never calls take (keys are
-    taken before the split), and calls no public kernel: perfbench's span
-    recorder keeps one span stack for one thread. A key that one kernel
-    views in two shapes needs separate splits for the steps that use the
-    two views, since slice boundaries differ between them (scratch "c").
+    runs at once only read their inputs and write separate gradients. A
+    run(s) touches only slice s of batched operands, never calls take
+    (keys are taken before the split), and calls no public kernel:
+    perfbench's span recorder keeps one span stack for one thread. A key
+    that one kernel views in two shapes needs separate splits for the
+    steps that use the two views, since slice boundaries differ between
+    them (scratch "c").
     """
 
     def __init__(self):
@@ -364,18 +365,29 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
     return dz
 
 
+def _zero_padded(adj, rows: int, cols: int):
+    """adj in the top-left corner of a (rows, cols) zero matrix, or adj
+    itself when it is that shape; ValueError when adj is larger."""
+    if adj.shape[-2:] == (rows, cols):
+        return adj
+    padded = np.zeros((*adj.shape[:-2], rows, cols))
+    padded[..., : adj.shape[-2], : adj.shape[-1]] = adj
+    return padded
+
+
 def _add_transposed(ws: Workspace, adj, d_agg, base, out=None):
     """out = base + adjᵀ d_agg per sample, through scratch "b"; returns
-    out, which is "b" itself when None and may be base. Rows of base past
-    those adjᵀ covers get base + 0.0."""
-    adj_t = np.swapaxes(adj, -1, -2)
-    m, width = adj_t.shape[-2:]
+    out, which is "b" itself when None and may be base. An adjacency
+    over fewer rows than d_agg has is zero-padded to them, and the rows
+    of base past its columns get base + 0.0."""
+    adj_t = np.swapaxes(_zero_padded(adj, d_agg.shape[1], adj.shape[-1]), -1, -2)
+    width = adj_t.shape[-2]
     back = ws.take("b", base.shape)
     out = back if out is None else out
 
     def run(s):
-        np.matmul(_rows(adj_t, s), d_agg[s, :width], out=back[s, :m])
-        back[s, m:] = 0.0
+        np.matmul(_rows(adj_t, s), d_agg[s], out=back[s, :width])
+        back[s, width:] = 0.0
         np.add(base[s], back[s], out=out[s])
 
     ws.split(run, back)
@@ -389,19 +401,26 @@ def _gin_step(h_self, adj, h_nbr, p: GinLayerParams, ws: Workspace, key: str, ou
     adj is the graph's adjacency with h_nbr = h_self in an ORIGINAL
     layer, and in an expander phase the biadjacency, either way round,
     that carries one side's features to the other. An (m, width)
-    adjacency aggregates h_nbr's first width rows onto h_self's first m,
-    and the rows past m aggregate 0.0: with the tree's n x n block a
-    rewired run's hyperedge rows skip a product that would only add zeros.
-    The elementwise (1 + eps) h_self + agg still covers every row, so the
-    rows past m get the zero-padded adjacency's bits, signed zeros
-    included; the first m get the same sums, which BLAS may round in
-    another order than it does for the padded product.
+    adjacency is the top-left block of a zero-padded one: the rows past m
+    aggregate 0.0, so a rewired run's hyperedge rows skip a product that
+    would only add zeros, and the elementwise (1 + eps) h_self + agg
+    still covers every row, so they get the padded adjacency's bits,
+    signed zeros included. The first m rows multiply the padded matrix's
+    (m, rows) slab, and the backward its (rows, m) slab, transposed: the
+    same terms over the same length as the padded product. A sum of at
+    most two nonzero terms gets its bits in any order; a longer one
+    usually does, but BLAS picks its kernel, and with it the order of a
+    sum, per shape, so the last bit can move (on OpenBLAS 0.3.31, for the
+    tree blocks of depths 1-8 at widths 1-64: depth 6 at widths 17-20 and
+    25-28, depth 7 at width 4; for denser blocks also at widths 1-3). The
+    (m, m) block alone would move it far more often.
     """
     agg = ws.take("a", h_self.shape)
-    m, width = adj.shape[-2:]
+    m = adj.shape[-2]
+    adj_rows = _zero_padded(adj, m, h_nbr.shape[1])
 
     def aggregate(s):
-        np.matmul(_rows(adj, s), h_nbr[s, :width], out=agg[s, :m])
+        np.matmul(_rows(adj_rows, s), h_nbr[s], out=agg[s, :m])
         agg[s, m:] = 0.0
 
     ws.split(aggregate, agg)
@@ -426,8 +445,9 @@ def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams, ws: Workspace
 
     adj is (n, n), (B, n, n), or a shared (m, m) block over the first
     m < n rows of h; the other rows aggregate zero, as they would under
-    the block padded with zeros to (n, n). key names the layer in ws: the
-    layers of one pass need distinct keys.
+    the block padded with zeros to (n, n), and the first m rows get the
+    padded product's bits at almost every shape (see _gin_step). key
+    names the layer in ws: the layers of one pass need distinct keys.
     """
     return _gin_step(h, adj, h, p, Workspace() if ws is None else ws, key)
 

@@ -97,10 +97,11 @@ def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
     one byte per hidden entry. Per sample besides: the head's input gradient,
     the logits, probabilities and their gradient, the target, and the
     n x n expander overlay. Fixed: the n x n tree adjacency that the
-    batch shares, at most two GIN MLPs per layer, each weight with
-    its gradient and optimizer arrays, and 2^14 floats for the run's
-    smaller objects (tracemalloc put them at up to 9k floats, depth 1
-    learned).
+    batch shares and, in a rewired run, the zero-padded n x 2n slab of it
+    that an ORIGINAL layer multiplies (one at a time), at most two GIN
+    MLPs per layer, each weight with its gradient and optimizer arrays,
+    and 2^14 floats for the run's smaller objects (tracemalloc put them
+    at up to 9k floats, depth 1 learned).
     """
     n = 2 ** (cfg.depth + 1) - 1
     in_dim = 2 ** (cfg.depth + 1) + 1
@@ -109,9 +110,10 @@ def _working_set_floats(cfg: TrainConfig) -> tuple[int, int]:
     hidden, layers = cfg.hidden_dim, cfg.num_layers
     per_sample = rows * (2 * in_dim + 2 * max(in_dim, hidden) + hidden * (3 * layers + 2))
     per_sample += -(-rows * hidden // 8) + hidden + 3 * classes + 1
+    fixed = n * n + 12 * layers * (in_dim + hidden) * hidden + 2**14
     if cfg.rewire:
         per_sample += n * n
-    fixed = n * n + 12 * layers * (in_dim + hidden) * hidden + 2**14
+        fixed += n * rows
     return per_sample, fixed
 
 

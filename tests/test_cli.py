@@ -740,33 +740,6 @@ class TestTrainMemoryLimit:
         assert entry(TINY_TRAIN + ["--depth", "9"]) == EXIT_USAGE
         assert "depth must be in 1..8" in capsys.readouterr().err
 
-
-class TestGnnImportedForTrainOnly:
-    """Only the train subcommand loads the GNN package."""
-
-    def test_importing_the_cli_leaves_gnn_unloaded(self):
-        child = "import sys\nimport hyperexpand.cli\nprint('hyperexpand.gnn' in sys.modules)\n"
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                              env=child_env(), timeout=120)
-        assert proc.stdout.strip() == "False", proc.stderr
-
-    def test_train_calls_the_gnn_train_of_the_moment(self, tmp_path, monkeypatch):
-        # a wrapper swapped into hyperexpand.gnn (as the benchmark's tracer
-        # swaps one in) is the train the subcommand runs
-        import hyperexpand.gnn
-
-        configs = []
-        real = hyperexpand.gnn.train
-
-        def wrapped(cfg):
-            configs.append(cfg)
-            return real(cfg)
-
-        monkeypatch.setattr(hyperexpand.gnn, "train", wrapped)
-        assert entry(TINY_TRAIN + ["--seeds", "1,2", "--out", str(tmp_path / "t.json")]) == EXIT_OK
-        assert [cfg.seed for cfg in configs] == [1, 2]
-
-
 class TestNumpyOnlyRuntime:
     """scipy and networkx are installed for test-time cross-checks only:
     no subcommand may import them."""
