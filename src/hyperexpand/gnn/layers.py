@@ -19,9 +19,12 @@ per-sample ops across the CPUs in the process's affinity mask: the
 batched matmuls against the adjacency and the weights, the elementwise,
 bias and ReLU-mask ops, and the copy of a strided dout each run on
 contiguous batch slices, the first on the calling thread and the others
-on a thread pool that the with block owns. Every reduction over the
-batch (the weight-gradient GEMMs, the bias and epsilon sums; the head
-GEMMs and the loss in model.py) runs whole on one thread. The two
+on a thread pool that the with block owns. A GIN step's forward, its
+aggregation and its MLP, is one split; its backward is three: the ReLU
+gradient, the input gradient with the transposed aggregation, and the
+epsilon product. Every reduction over the batch (the weight-gradient
+GEMMs, the bias and epsilon sums; the head GEMMs and the loss in
+model.py) runs whole on one thread, between splits. The two
 weight-gradient GEMMs of one GIN backward may run at the same time, one
 on the calling thread and one on a pool thread. No float depends on where
 the batch is cut or on which thread runs a reduction, so results are
@@ -74,27 +77,24 @@ class GinLayerParams:
 class ExpanderLayerParams:
     """Two-phase bipartite pass: left -> hyperedge nodes, then back.
 
-    LEARNED mode runs a GIN update on the hyperedge nodes, reading their
-    own rows as well as their left neighbors. Those rows are not carried
-    unchanged from one expander layer to the next: each ORIGINAL layer in
-    between applies its MLP to them with zero aggregation, because the
-    tree adjacency does not reach them. SUMMATION mode overwrites
-    each hyperedge feature with a linear map of the sum of its left
-    neighbors. Phase 2 is always a GIN update of the left nodes.
+    The hyperedge parameters' type is the mode. A GinLayerParams runs a
+    GIN update on the hyperedge nodes (LEARNED), reading their own rows
+    as well as their left neighbors. Those rows are not carried unchanged
+    from one expander layer to the next: each ORIGINAL layer in between
+    applies its MLP to them with zero aggregation, because the tree
+    adjacency does not reach them. An Affine (SUMMATION) overwrites each
+    hyperedge feature with a linear map of the sum of its left neighbors.
+    Phase 2 is always a GIN update of the left nodes.
     """
 
-    mode: HyperedgeMode
     backward_gin: GinLayerParams
-    forward_gin: GinLayerParams | None = None
-    summation_linear: Affine | None = None
+    hyperedge: GinLayerParams | Affine
 
-    def __post_init__(self):
-        if self.mode is HyperedgeMode.LEARNED:
-            if self.forward_gin is None or self.summation_linear is not None:
-                raise ValueError("LEARNED mode takes forward_gin only")
-        else:
-            if self.summation_linear is None or self.forward_gin is not None:
-                raise ValueError("SUMMATION mode takes summation_linear only")
+    @property
+    def mode(self) -> HyperedgeMode:
+        if isinstance(self.hyperedge, GinLayerParams):
+            return HyperedgeMode.LEARNED
+        return HyperedgeMode.SUMMATION
 
 
 def glorot(rng: SplitMix64, d_in: int, d_out: int) -> np.ndarray:
@@ -121,16 +121,13 @@ def init_expander_params(
     rng: SplitMix64, mode: HyperedgeMode, dim: int, d_hidden: int
 ) -> ExpanderLayerParams:
     """Expander layers are square (dim -> dim): phase 2 adds the phase-1
-    output to the left nodes' own features, so widths must agree."""
+    output to the left nodes' own features, so widths must agree. The
+    hyperedge parameters are drawn first."""
     if mode is HyperedgeMode.LEARNED:
-        fwd = init_gin_params(rng, dim, d_hidden, dim)
-        return ExpanderLayerParams(
-            mode=mode, backward_gin=init_gin_params(rng, dim, d_hidden, dim), forward_gin=fwd
-        )
-    lin = init_affine(rng, dim, dim)
-    return ExpanderLayerParams(
-        mode=mode, backward_gin=init_gin_params(rng, dim, d_hidden, dim), summation_linear=lin
-    )
+        hyperedge = init_gin_params(rng, dim, d_hidden, dim)
+    else:
+        hyperedge = init_affine(rng, dim, dim)
+    return ExpanderLayerParams(init_gin_params(rng, dim, d_hidden, dim), hyperedge)
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +142,17 @@ def init_expander_params(
 # buffers first and then runs its per-sample ops as one function of a
 # batch slice through Workspace.split; the reductions over the batch (the
 # weight, bias and epsilon gradients) run whole between splits. A forward
-# pass keeps its outputs and caches under the layer's key; backward passes
-# share the scratch keys below, each live within one kernel call:
+# pass keeps its outputs and caches under the layer's key; every pass
+# shares the scratch keys below, each live within one step:
 #   "a"     forward: the aggregation; backward: d z (which is d agg)
-#   "b"     backward: the transposed aggregation of d z, d right, and a
-#           contiguous copy of a strided dout for a weight gradient
+#   "b"     backward: a contiguous copy of a strided dout for a weight
+#           gradient, then the transposed aggregation of d z (d right in
+#           an expander layer, which SUMMATION's backward overwrites
+#           slice by slice once read)
 #   "c"     backward: d r (masked in place to d a1), then dz * h_self.
-#           The two views differ in shape when d_in != hidden, so one
-#           slice's write could land on another's unread input: a join
-#           (a second split) separates them.
+#           The two views differ in shape when d_in != hidden (layer 0),
+#           so one slice's write could land on another's unread input: the
+#           epsilon product has a split of its own.
 #   "mask"  backward: where a1 is not positive (NaN included)
 
 # Threads an entered Workspace splits a batch across, the calling thread
@@ -210,10 +209,12 @@ class Workspace:
     runs at once only read their inputs and write separate gradients. A
     run(s) touches only slice s of batched operands, never calls take
     (keys are taken before the split), and calls no public kernel:
-    perfbench's span recorder keeps one span stack for one thread. A key
-    that one kernel views in two shapes needs separate splits for the
-    steps that use the two views, since slice boundaries differ between
-    them (scratch "c").
+    perfbench's span recorder keeps one span stack for one thread. One
+    run(s) may read a key and then write it in the same shape (scratch
+    "b" in SUMMATION's backward), since its slice is its own. A key that
+    one kernel views in two shapes needs separate splits for the steps
+    that use the two views, since slice boundaries differ between them
+    (scratch "c").
     """
 
     def __init__(self):
@@ -290,24 +291,64 @@ def _weight_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.tensordot(x, dy, axes=([0, 1], [0, 1]))
 
 
-def _gin_mlp_forward(h_self, agg, p: GinLayerParams, ws: Workspace | None = None, key="", out=None):
-    """The GIN update MLP((1 + eps) h_self + agg); returns (out, cache).
+def _zero_padded(adj, rows: int, cols: int):
+    """adj in the top-left corner of a (rows, cols) zero matrix, or adj
+    itself when it is that shape; ValueError when adj is larger."""
+    if adj.shape[-2:] == (rows, cols):
+        return adj
+    padded = np.zeros((*adj.shape[:-2], rows, cols))
+    padded[..., : adj.shape[-2], : adj.shape[-1]] = adj
+    return padded
 
-    z and r = relu(a1) are kept under key; out is written in place when
-    given (an expander layer's output half), else kept under key too.
+
+def _add_transposed(adj_t, d_agg, back, base, out, s) -> None:
+    """out = base + adj_t d_agg for batch slice s, the product written to
+    back first; the rows of back past adj_t's get 0.0, so those of out get
+    base + 0.0."""
+    width = adj_t.shape[-2]
+    np.matmul(_rows(adj_t, s), d_agg[s], out=back[s, :width])
+    back[s, width:] = 0.0
+    np.add(base[s], back[s], out=out[s])
+
+
+def _gin_step(h_self, adj, h_nbr, p: GinLayerParams, ws: Workspace, key: str, out=None):
+    """The GIN update MLP((1 + eps) h_self + adj @ h_nbr) of Xu et al.
+    (2019); returns (out, cache), and cache[0] is h_self.
+
+    adj is the graph's adjacency with h_nbr = h_self in an ORIGINAL
+    layer, and in an expander phase the biadjacency, either way round,
+    that carries one side's features to the other. An (m, width)
+    adjacency is the top-left block of a zero-padded one: the rows past m
+    aggregate 0.0, so a rewired run's hyperedge rows skip a product that
+    would only add zeros, and the elementwise (1 + eps) h_self + agg
+    still covers every row, so they get the padded adjacency's bits,
+    signed zeros included. The first m rows multiply the padded matrix's
+    (m, rows) slab, and the backward its (rows, m) slab, transposed: the
+    same terms over the same length as the padded product. A sum of at
+    most two nonzero terms gets its bits in any order; a longer one
+    usually does, but BLAS picks its kernel, and with it the order of a
+    sum, per shape, so the last bit can move at a few shapes. The (m, m)
+    block alone would move it far more often.
+
+    The aggregation goes to scratch "a"; z and r = relu(a1) are kept
+    under key, and so is out unless it is given (an expander phase's
+    half of the layer output).
     """
-    if ws is None:
-        ws = Workspace()
     rows = h_self.shape[:-1]
+    agg = ws.take("a", h_self.shape)
     z = ws.take(key + "z", h_self.shape)
     r = ws.take(key + "r", (*rows, p.w1.shape[1]))
     if out is None:
         out = ws.take(key + "out", (*rows, p.w2.shape[1]))
+    m = adj.shape[-2]
+    adj_rows = _zero_padded(adj, m, h_nbr.shape[1])
 
     def run(s):
         zs, rs, outs = z[s], r[s], out[s]
+        np.matmul(_rows(adj_rows, s), h_nbr[s], out=agg[s, :m])
+        agg[s, m:] = 0.0
         np.multiply(1.0 + p.epsilon, h_self[s], out=zs)
-        np.add(zs, _rows(agg, s), out=zs)
+        np.add(zs, agg[s], out=zs)
         np.matmul(zs, p.w1, out=rs)
         np.add(rs, p.b1, out=rs)
         np.maximum(rs, 0.0, out=rs)  # a1 > 0 exactly where r > 0, NaN included
@@ -315,15 +356,17 @@ def _gin_mlp_forward(h_self, agg, p: GinLayerParams, ws: Workspace | None = None
         np.add(outs, p.b2, out=outs)
 
     ws.split(run, z)
-    return out, (h_self, z, r)
+    return out, (h_self, z, r, adj)
 
 
-def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, ws, d_self):
-    """Accumulates parameter grads under prefix; returns d agg (scratch "a").
-
-    Writes d h_self into d_self unless it is None.
-    """
-    h_self, z, r = cache
+def _gin_step_backward(
+    dout, cache, p: GinLayerParams, grads: dict, prefix: str, ws, d_self, base, d_nbr=None
+):
+    """Backward of _gin_step: accumulates parameter grads under prefix and
+    writes d h_self into d_self unless it is None. Returns d h_nbr =
+    base + adjᵀ d agg, written to d_nbr, or to scratch "b" when d_nbr is
+    None (d_nbr may be base); returns None when base is None."""
+    h_self, z, r, adj = cache
     dy = dout if dout.flags.c_contiguous else ws.take("b", dout.shape)
     # "c" holds d a1, then the epsilon product: grown for the larger
     # first, so taking the product does not regrow it while d a1 is live.
@@ -351,93 +394,24 @@ def _gin_mlp_backward(dout, cache, p: GinLayerParams, grads: dict, prefix: str, 
         grads[prefix + "b1"] += da1.sum(axis=(0, 1))
 
     ws.pair(output_grads, hidden_grads, da1)  # both only read, and write separate grads
-    dz = ws.take("a", z.shape)
+    dz = ws.take("a", z.shape)  # d agg
+    if base is not None:
+        adj_t = np.swapaxes(_zero_padded(adj, z.shape[1], adj.shape[-1]), -1, -2)
+        back = ws.take("b", base.shape)  # "b" may hold dout or its copy: unread after the pair
+        d_nbr = back if d_nbr is None else d_nbr
 
     def input_grad(s):
         np.matmul(da1[s], p.w1.T, out=dz[s])
         if d_self is not None:
             np.multiply(1.0 + p.epsilon, dz[s], out=d_self[s])
+        if base is not None:
+            _add_transposed(adj_t, dz, back, base, d_nbr, s)
 
     ws.split(input_grad, dz)
     prod = ws.take("c", z.shape)  # d a1's key in another shape: split again
     ws.split(lambda s: np.multiply(dz[s], h_self[s], out=prod[s]), prod)
     grads[prefix + "epsilon"] += prod.sum()
-    return dz
-
-
-def _zero_padded(adj, rows: int, cols: int):
-    """adj in the top-left corner of a (rows, cols) zero matrix, or adj
-    itself when it is that shape; ValueError when adj is larger."""
-    if adj.shape[-2:] == (rows, cols):
-        return adj
-    padded = np.zeros((*adj.shape[:-2], rows, cols))
-    padded[..., : adj.shape[-2], : adj.shape[-1]] = adj
-    return padded
-
-
-def _add_transposed(ws: Workspace, adj, d_agg, base, out=None):
-    """out = base + adjᵀ d_agg per sample, through scratch "b"; returns
-    out, which is "b" itself when None and may be base. An adjacency
-    over fewer rows than d_agg has is zero-padded to them, and the rows
-    of base past its columns get base + 0.0."""
-    adj_t = np.swapaxes(_zero_padded(adj, d_agg.shape[1], adj.shape[-1]), -1, -2)
-    width = adj_t.shape[-2]
-    back = ws.take("b", base.shape)
-    out = back if out is None else out
-
-    def run(s):
-        np.matmul(_rows(adj_t, s), d_agg[s], out=back[s, :width])
-        back[s, width:] = 0.0
-        np.add(base[s], back[s], out=out[s])
-
-    ws.split(run, back)
-    return out
-
-
-def _gin_step(h_self, adj, h_nbr, p: GinLayerParams, ws: Workspace, key: str, out=None):
-    """The GIN update MLP((1 + eps) h_self + adj @ h_nbr) of Xu et al.
-    (2019); returns (out, cache), and cache[0] is h_self.
-
-    adj is the graph's adjacency with h_nbr = h_self in an ORIGINAL
-    layer, and in an expander phase the biadjacency, either way round,
-    that carries one side's features to the other. An (m, width)
-    adjacency is the top-left block of a zero-padded one: the rows past m
-    aggregate 0.0, so a rewired run's hyperedge rows skip a product that
-    would only add zeros, and the elementwise (1 + eps) h_self + agg
-    still covers every row, so they get the padded adjacency's bits,
-    signed zeros included. The first m rows multiply the padded matrix's
-    (m, rows) slab, and the backward its (rows, m) slab, transposed: the
-    same terms over the same length as the padded product. A sum of at
-    most two nonzero terms gets its bits in any order; a longer one
-    usually does, but BLAS picks its kernel, and with it the order of a
-    sum, per shape, so the last bit can move (on OpenBLAS 0.3.31, for the
-    tree blocks of depths 1-8 at widths 1-64: depth 6 at widths 17-20 and
-    25-28, depth 7 at width 4; for denser blocks also at widths 1-3). The
-    (m, m) block alone would move it far more often.
-    """
-    agg = ws.take("a", h_self.shape)
-    m = adj.shape[-2]
-    adj_rows = _zero_padded(adj, m, h_nbr.shape[1])
-
-    def aggregate(s):
-        np.matmul(_rows(adj_rows, s), h_nbr[s], out=agg[s, :m])
-        agg[s, m:] = 0.0
-
-    ws.split(aggregate, agg)
-    out, cache = _gin_mlp_forward(h_self, agg, p, ws, key, out)
-    return out, (*cache, adj)
-
-
-def _gin_step_backward(
-    dout, cache, p: GinLayerParams, grads: dict, prefix: str, ws, d_self, base, d_nbr=None
-):
-    """Backward of _gin_step: accumulates parameter grads under prefix and
-    writes d h_self into d_self unless it is None. Returns d h_nbr =
-    base + adjᵀ d agg, written as _add_transposed writes out, or None
-    when base is None."""
-    *mlp_cache, adj = cache
-    d_agg = _gin_mlp_backward(dout, mlp_cache, p, grads, prefix, ws, d_self)
-    return None if base is None else _add_transposed(ws, adj, d_agg, base, d_nbr)
+    return d_nbr if base is not None else None
 
 
 def gin_forward(h: np.ndarray, adj: np.ndarray, p: GinLayerParams, ws: Workspace | None = None, key=""):
@@ -480,10 +454,10 @@ def expander_forward(
     h_left, h_right = h[..., :n, :], h[..., n:, :]
     out = ws.take(key + "out", h.shape)
     out_left, out_right = out[..., :n, :], out[..., n:, :]
-    if p.mode is HyperedgeMode.LEARNED:
-        _, c1 = _gin_step(h_right, biadj, h_left, p.forward_gin, ws, key + "forward.", out_right)
+    if isinstance(p.hyperedge, GinLayerParams):
+        _, c1 = _gin_step(h_right, biadj, h_left, p.hyperedge, ws, key + "forward.", out_right)
     else:
-        lin = p.summation_linear
+        lin = p.hyperedge
         c1 = ws.take(key + "summation", h_left.shape)
 
         def summation(s):
@@ -513,22 +487,24 @@ def expander_backward(
     d_right = _gin_step_backward(
         d_left_out, c2, p.backward_gin, grads, prefix + "backward.", ws, d_left, d_right_out
     )
-    if p.mode is HyperedgeMode.LEARNED:
+    if isinstance(p.hyperedge, GinLayerParams):
         _gin_step_backward(
-            d_right, c1, p.forward_gin, grads, prefix + "forward.", ws, d_right_self, d_left, d_left
+            d_right, c1, p.hyperedge, grads, prefix + "forward.", ws, d_right_self, d_left, d_left
         )
-    else:
-        lin = p.summation_linear
-        grads[prefix + "summation.w"] += _weight_grad(c1, d_right)
-        grads[prefix + "summation.b"] += d_right.sum(axis=(0, 1))
-        d_agg = ws.take("a", d_right.shape)
+        return dh
+    lin = p.hyperedge
+    grads[prefix + "summation.w"] += _weight_grad(c1, d_right)
+    grads[prefix + "summation.b"] += d_right.sum(axis=(0, 1))
+    d_agg = ws.take("a", d_right.shape)
+    biadj_t = np.swapaxes(biadj, -1, -2)
+    if dh is not None:
+        back = ws.take("b", d_left.shape)  # d right's own rows, each read before it is written
 
-        def summation_grad(s):
-            np.matmul(d_right[s], lin.w.T, out=d_agg[s])
-            if d_right_self is not None:
-                d_right_self[s].fill(0.0)
-
-        ws.split(summation_grad, d_agg)
+    def summation_grad(s):
+        np.matmul(d_right[s], lin.w.T, out=d_agg[s])
         if dh is not None:
-            _add_transposed(ws, biadj, d_agg, d_left, d_left)
+            d_right_self[s].fill(0.0)
+            _add_transposed(biadj_t, d_agg, back, d_left, d_left, s)
+
+    ws.split(summation_grad, d_agg)
     return dh

@@ -84,10 +84,10 @@ def named_parameters(model: GinModel) -> list[tuple[str, np.ndarray]]:
             items.extend(_gin_items(prefix, layer))
         else:
             if layer.mode is HyperedgeMode.LEARNED:
-                items.extend(_gin_items(prefix + "forward.", layer.forward_gin))
+                items.extend(_gin_items(prefix + "forward.", layer.hyperedge))
             else:
-                items.append((prefix + "summation.w", layer.summation_linear.w))
-                items.append((prefix + "summation.b", layer.summation_linear.b))
+                items.append((prefix + "summation.w", layer.hyperedge.w))
+                items.append((prefix + "summation.b", layer.hyperedge.b))
             items.extend(_gin_items(prefix + "backward.", layer.backward_gin))
     items.append(("head.w", model.head.w))
     items.append(("head.b", model.head.b))

@@ -1,4 +1,5 @@
-"""Each demo runs to completion against this source tree."""
+"""Each demo, and README's quick tour, runs to completion against this
+source tree."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import pytest
 
 from helpers import child_env
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 # Runs the demo at argv[1] with every train() call cut to one epoch on 16
 # samples: 05 imports and prints as it would, without its 23 s of
@@ -35,3 +37,32 @@ def test_demo_exits_0(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def quick_tour() -> str:
+    """The Python block under README's "Quick tour" heading."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Quick tour", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def same_word(got: str, want: str) -> bool:
+    """Equal, or numbers within 1e-12: λ's last digits depend on the BLAS
+    kernel."""
+    try:
+        return got == want or abs(float(got) - float(want)) <= 1e-12
+    except ValueError:
+        return False
+
+
+def test_readme_quick_tour_prints_its_comments():
+    code = quick_tour()
+    want = [line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = proc.stdout.splitlines()
+    assert len(got) == len(want) == 3
+    for g, w in zip(got, want):
+        assert len(g.split()) == len(w.split()), (g, w)
+        assert all(map(same_word, g.split(), w.split())), (g, w)

@@ -57,9 +57,8 @@ def identity_gin(d, epsilon=0.0):
 
 def identity_summation(d, epsilon=0.0):
     return ExpanderLayerParams(
-        mode=HyperedgeMode.SUMMATION,
         backward_gin=identity_gin(d, epsilon),
-        summation_linear=Affine(w=np.eye(d), b=np.zeros(d)),
+        hyperedge=Affine(w=np.eye(d), b=np.zeros(d)),
     )
 
 
@@ -183,7 +182,7 @@ class TestLearnedMode:
         hyper = []
         for r in range(b.n_right):
             nbrs = [h[l] for l in range(n) if biadj[r, l] == 1.0]
-            hyper.append(scalar_gin_row(h[n + r], nbrs, p.forward_gin))
+            hyper.append(scalar_gin_row(h[n + r], nbrs, p.hyperedge))
         for r in range(b.n_right):
             assert np.max(np.abs(out[n + r] - np.array(hyper[r]))) <= 1e-12
         for l in range(n):
@@ -243,32 +242,6 @@ class TestPermutationEquivariance:
         assert np.max(np.abs(out2[full_perm] - out)) <= 1e-12
 
 
-class TestValidation:
-    def test_learned_mode_param_set(self):
-        gin = identity_gin(2)
-        with pytest.raises(ValueError, match="LEARNED"):
-            ExpanderLayerParams(mode=HyperedgeMode.LEARNED, backward_gin=gin)
-        with pytest.raises(ValueError, match="LEARNED"):
-            ExpanderLayerParams(
-                mode=HyperedgeMode.LEARNED,
-                backward_gin=gin,
-                forward_gin=identity_gin(2),
-                summation_linear=Affine(np.eye(2), np.zeros(2)),
-            )
-
-    def test_summation_mode_param_set(self):
-        gin = identity_gin(2)
-        with pytest.raises(ValueError, match="SUMMATION"):
-            ExpanderLayerParams(mode=HyperedgeMode.SUMMATION, backward_gin=gin)
-        with pytest.raises(ValueError, match="SUMMATION"):
-            ExpanderLayerParams(
-                mode=HyperedgeMode.SUMMATION,
-                backward_gin=gin,
-                forward_gin=identity_gin(2),
-                summation_linear=Affine(np.eye(2), np.zeros(2)),
-            )
-
-
 class TestInitializers:
     def test_glorot_bounds(self):
         w = glorot(SplitMix64(3), 6, 4)
@@ -286,10 +259,10 @@ class TestInitializers:
 
     def test_expander_init_modes(self):
         p = init_expander_params(SplitMix64(0), HyperedgeMode.LEARNED, 4, 6)
-        assert p.forward_gin is not None and p.summation_linear is None
+        assert p.mode is HyperedgeMode.LEARNED and isinstance(p.hyperedge, GinLayerParams)
         q = init_expander_params(SplitMix64(0), HyperedgeMode.SUMMATION, 4, 6)
-        assert q.summation_linear is not None and q.forward_gin is None
-        assert q.summation_linear.w.shape == (4, 4)
+        assert q.mode is HyperedgeMode.SUMMATION and isinstance(q.hyperedge, Affine)
+        assert q.hyperedge.w.shape == (4, 4)
 
     def test_deterministic(self):
         a = init_gin_params(SplitMix64(9), 3, 4, 3)
